@@ -15,11 +15,12 @@
 //! `FREERIDER_THREADS` pins the worker count (default: all cores), and the
 //! output is bit-identical for any setting.
 //!
-//! `--metrics` prints each experiment's per-stage telemetry breakdown;
+//! `--metrics` prints each experiment's counters and histograms;
 //! `--json <path>` writes a machine-readable results file (schema
-//! `freerider-repro/2`). In the JSON, the per-experiment `metrics` section
+//! `freerider-repro/3`). In the JSON, the per-experiment `metrics` section
 //! (counters + histograms) is deterministic — byte-identical across worker
-//! counts — while `timing` carries wall-clock values that vary run to run.
+//! counts — while `timing.wall_s` is wall-clock and varies run to run.
+//! Per-stage wall-clock time comes from `--profile` (below).
 //! Each experiment also carries a `forensics` section: the flight
 //! recorder's black-box dump of failed packets (empty unless tracing is
 //! on, see below).
@@ -70,7 +71,7 @@ fn write_json(
 ) -> std::io::Result<()> {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.key("schema").string("freerider-repro/2");
+    w.key("schema").string("freerider-repro/3");
     w.key("quick").bool(quick);
     // Worker count lives here, outside each experiment's `metrics`
     // section, so those sections stay byte-identical across thread counts.
@@ -99,8 +100,6 @@ fn write_json(
         w.end_object();
         w.key("timing").begin_object();
         w.key("wall_s").f64(r.wall_s);
-        w.key("timers");
-        r.metrics.write_timers(&mut w);
         w.end_object();
         w.end_object();
     }

@@ -110,11 +110,9 @@ impl Receiver {
     /// Receives the first packet in `samples`.
     pub fn receive(&self, samples: &[Complex]) -> Result<RxPacket, RxError> {
         telemetry::count("ble.rx.receive.calls");
-        let _span = telemetry::span("ble.rx.receive");
-        let _stage = trace::stage("ble.rx.receive");
-        let _prof = profile::scope("ble.rx");
+        let _stage = telemetry::stage("ble.rx");
         profile::items(samples.len() as u64);
-        let prof_sync = profile::scope("sync");
+        let sync_stage = telemetry::stage("sync");
         let filtered;
         let input: &[Complex] = if self.config.channel_filter {
             filtered = channel_filter().filter(samples);
@@ -163,9 +161,9 @@ impl Receiver {
             telemetry::count("ble.rx.sensitivity_drops");
             return Err(RxError::NoSync);
         }
-        drop(prof_sync);
+        drop(sync_stage);
 
-        let prof_slice = profile::scope("slice");
+        let slice_stage = telemetry::stage("slice");
         // Slice PDU bits after the sync word: integrate the discriminator
         // over the central half of each bit (integrate-and-dump), then read
         // the 16-bit header to learn the length, then the rest.
@@ -194,11 +192,11 @@ impl Receiver {
         let pdu_bits = Whitener::for_channel(self.config.channel).whiten(&whitened);
         telemetry::count_n("ble.rx.slice.bits", total as u64);
         profile::work("slice.bits", total as u64);
-        drop(prof_slice);
-        let prof_crc = profile::scope("crc");
+        drop(slice_stage);
+        let crc_stage = telemetry::stage("crc");
         let (packet, crc_valid, _) =
             BlePacket::parse_pdu_bits(&pdu_bits).map_err(RxError::Truncated)?;
-        drop(prof_crc);
+        drop(crc_stage);
         telemetry::count(if crc_valid {
             "ble.rx.crc.ok"
         } else {

@@ -195,7 +195,7 @@ impl Channel {
     /// Propagates a unit-power transmit waveform: multipath, fading gain,
     /// phase noise, power scaling to the target RSSI, thermal noise.
     pub fn propagate(&mut self, tx_wave: &[Complex]) -> Vec<Complex> {
-        let _stage = freerider_telemetry::trace::stage("channel.propagate");
+        let _stage = freerider_telemetry::stage("channel.propagate");
         freerider_telemetry::count("channel.propagate.calls");
         freerider_telemetry::count_n("channel.propagate.samples", tx_wave.len() as u64);
         let gain = db::field_scale(self.rssi_dbm);
@@ -212,7 +212,7 @@ impl Channel {
     /// Propagates with `pad` noise-only samples before and after the
     /// packet, so receivers must genuinely detect it.
     pub fn propagate_padded(&mut self, tx_wave: &[Complex], pad: usize) -> Vec<Complex> {
-        let _stage = freerider_telemetry::trace::stage("channel.propagate");
+        let _stage = freerider_telemetry::stage("channel.propagate");
         freerider_telemetry::count("channel.propagate.calls");
         freerider_telemetry::count_n(
             "channel.propagate.samples",

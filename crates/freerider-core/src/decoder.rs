@@ -44,7 +44,7 @@ pub fn decode_wifi_binary(
     start_symbol: usize,
 ) -> Vec<u8> {
     assert!(n_dbps > 0 && symbols_per_step > 0);
-    let _stage = trace::stage("core.decode.wifi");
+    let _stage = telemetry::stage("core.decode.wifi");
     let n = original.len().min(backscattered.len());
     let step_bits = n_dbps * symbols_per_step;
     let mut out = Vec::new();
@@ -74,7 +74,7 @@ pub fn decode_zigbee_binary(
     symbols_per_step: usize,
 ) -> Vec<u8> {
     assert!(symbols_per_step > 0);
-    let _stage = trace::stage("core.decode.zigbee");
+    let _stage = telemetry::stage("core.decode.zigbee");
     let n = original.len().min(backscattered.len());
     let mut out = Vec::new();
     let mut pos = 0usize;
@@ -104,7 +104,7 @@ pub fn decode_ble_binary(
     start: usize,
 ) -> Vec<u8> {
     assert!(window > 0);
-    let _stage = trace::stage("core.decode.ble");
+    let _stage = telemetry::stage("core.decode.ble");
     let n = original.len().min(backscattered.len());
     let mut out = Vec::new();
     let mut pos = start;
@@ -131,7 +131,7 @@ pub fn decode_wifi_quaternary(
     delta_theta: f64,
 ) -> Vec<u8> {
     assert!(symbols_per_step > 0 && delta_theta > 0.0);
-    let _stage = trace::stage("core.decode.quaternary");
+    let _stage = telemetry::stage("core.decode.quaternary");
     let n = original.len().min(backscattered.len());
     let levels = (2.0 * std::f64::consts::PI / delta_theta).round() as i64;
     // The two receivers' residual carrier drifts differ and accumulate

@@ -3,7 +3,7 @@
 //!
 //! | id | slug | invariant |
 //! |----|------|-----------|
-//! | D1 | `wallclock` | no `Instant` / `SystemTime` outside the telemetry timer modules and the bench harness |
+//! | D1 | `wallclock` | no `Instant` / `SystemTime` outside the telemetry stopwatch (`timer.rs`) and the bench harness |
 //! | D2 | `hash-collections` | no `HashMap` / `HashSet` in non-test code (iteration order is nondeterministic) |
 //! | D3 | `env-registry` | every `FREERIDER_*` name in a string literal must be listed in `freerider-core/src/env.rs` |
 //! | P1 | `panic` | no `.unwrap()` / `.expect(…)` / `panic!` in library non-test code |
@@ -109,7 +109,7 @@ impl Rule {
     pub fn description(self) -> &'static str {
         match self {
             Rule::Wallclock => {
-                "no Instant/SystemTime outside freerider-telemetry timers and the bench harness"
+                "no Instant/SystemTime outside the freerider-telemetry stopwatch and the bench harness"
             }
             Rule::HashCollections => {
                 "no HashMap/HashSet in non-test code (use BTreeMap/BTreeSet or sort before emit)"
@@ -256,14 +256,11 @@ pub struct Analysis {
 /// Path (workspace-relative) of the central env-var registry D3 reads.
 pub const REGISTRY_PATH: &str = "crates/freerider-core/src/env.rs";
 
-/// Files D1 exempts: the telemetry timer/trace/profile modules are the
-/// *only* library code allowed to read the clock (their output is
-/// reported separately from the deterministic sections).
-const WALLCLOCK_EXEMPT_FILES: [&str; 3] = [
-    "crates/freerider-telemetry/src/profile.rs",
-    "crates/freerider-telemetry/src/timer.rs",
-    "crates/freerider-telemetry/src/trace.rs",
-];
+/// Files D1 exempts: the telemetry stopwatch is the *only* library code
+/// allowed to read the clock. The stage profiler, the flight recorder and
+/// the server's latency rows all read time through it, and their output
+/// is reported separately from the deterministic sections.
+const WALLCLOCK_EXEMPT_FILES: [&str; 1] = ["crates/freerider-telemetry/src/timer.rs"];
 
 /// Crates exempt from D1 and P1 wholesale: the bench harness exists to
 /// measure wall-clock time, and the lint's own fixtures never ship.
@@ -932,7 +929,7 @@ impl<'a> FileCtx<'a> {
                     line,
                     format!(
                         "`{name}` is wall-clock time; deterministic code must not read the \
-                     clock (telemetry timers and the bench harness are the exemptions)"
+                     clock (the telemetry stopwatch and the bench harness are the exemptions)"
                     ),
                 );
             }

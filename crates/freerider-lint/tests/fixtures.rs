@@ -58,29 +58,37 @@ fn d1_wallclock_positive() {
 }
 
 #[test]
-fn d1_profile_module_is_a_sanctioned_wallclock_site() {
-    // Mixed fixture: identical clock reads in the exempt profiler path
-    // and in an ordinary crate. Only the ordinary crate may be flagged.
-    let (ok, text) = lint_fixture("d1_profile");
+fn d1_timer_module_is_the_only_sanctioned_wallclock_site() {
+    // Mixed fixture: identical clock reads in the exempt stopwatch path,
+    // in the (no longer exempt) profiler path and in an ordinary crate.
+    // Only the stopwatch may read the clock unflagged.
+    let (ok, text) = lint_fixture("d1_timer");
     assert!(
         !ok,
-        "d1_profile must exit non-zero (demo half trips D1):\n{text}"
+        "d1_timer must exit non-zero (demo half trips D1):\n{text}"
     );
-    let demo_hits = text
-        .lines()
-        .filter(|l| l.contains("crates/demo") && l.contains(": wallclock: "))
-        .count();
+    let hits = |path: &str| {
+        text.lines()
+            .filter(|l| l.contains(path) && l.contains(": wallclock: "))
+            .count()
+    };
     assert_eq!(
-        demo_hits, 3,
+        hits("crates/demo"),
+        3,
         "demo half must trip wallclock 3 times:\n{text}"
+    );
+    assert_eq!(
+        hits("freerider-telemetry/src/profile.rs"),
+        3,
+        "the profiler reads time through the stopwatch; its own clock reads are findings:\n{text}"
     );
     let exempt_hits = text
         .lines()
-        .filter(|l| l.contains("freerider-telemetry/src/profile.rs"))
+        .filter(|l| l.contains("freerider-telemetry/src/timer.rs"))
         .count();
     assert_eq!(
         exempt_hits, 0,
-        "the profiler module is exempt from D1 — no findings allowed:\n{text}"
+        "the stopwatch module is exempt from D1 — no findings allowed:\n{text}"
     );
 }
 

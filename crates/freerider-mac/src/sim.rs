@@ -137,7 +137,6 @@ impl NetworkSim {
 
     /// Runs the configured number of rounds.
     pub fn run(&mut self) -> SimReport {
-        let _span = freerider_telemetry::span("mac.sim.run");
         let cfg = self.config.clone();
         let mut per_tag_bits = vec![0u64; cfg.n_tags];
         let mut total_time = 0.0f64;

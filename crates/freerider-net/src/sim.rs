@@ -239,10 +239,10 @@ impl DeploymentSim {
             // own `(round, tag)` stream, so the result is independent of
             // scheduling and worker count.
             let draws: Vec<TagDraw> = exec.map(&tag_ids, |i, _| {
-                // A root profile scope per work item (never wrapping the
+                // A root stage per work item (never wrapping the
                 // dispatch itself), so the stage tree is identical for
                 // any worker count.
-                let _prof = profile::scope("net.sim.draw");
+                let _stage = freerider_telemetry::stage("net.sim.draw");
                 if !servable[i] {
                     return TagDraw::default();
                 }
@@ -257,7 +257,7 @@ impl DeploymentSim {
             // Phase B — serial merge in tag order. Tags that decoded the
             // announcement *and* have a report waiting contend for their
             // chosen slot.
-            let prof_merge = profile::scope("net.sim.merge");
+            let merge_stage = freerider_telemetry::stage("net.sim.merge");
             profile::work("mac.slots", n_slots as u64);
             let mut slots: Vec<Vec<usize>> = vec![Vec::new(); n_slots as usize];
             let mut participants = 0usize;
@@ -320,7 +320,7 @@ impl DeploymentSim {
             }
             profile::bits((delivered_slots * cfg.bits_per_slot) as u64);
             coordinator.adapt(&outcome);
-            drop(prof_merge);
+            drop(merge_stage);
             time += round_dur;
 
             observer(SimEvent::Round(RoundProgress {

@@ -93,7 +93,6 @@ impl Executor {
         // equivalence this executor exists to provide.
         freerider_telemetry::count("rt.map.calls");
         freerider_telemetry::count_n("rt.map.items", items.len() as u64);
-        let _span = freerider_telemetry::span("rt.map");
         // Flight-recorder scope for the whole fan-out. The id is a global
         // call counter: map() calls are issued serially by the
         // orchestration thread, so the numbering is deterministic for any

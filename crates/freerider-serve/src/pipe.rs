@@ -8,6 +8,7 @@
 //! matching TCP half-close semantics closely enough for the framed
 //! protocol (which treats EOF at a frame boundary as a clean hang-up).
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -16,14 +17,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 struct Direction {
-    buf: Mutex<(Vec<u8>, bool)>, // (pending bytes, closed)
+    // (pending bytes, closed). A ring buffer, so a small read takes its
+    // bytes off the front without moving the rest of the backlog.
+    buf: Mutex<(VecDeque<u8>, bool)>,
     ready: Condvar,
 }
 
 impl Direction {
     fn new() -> Arc<Direction> {
         Arc::new(Direction {
-            buf: Mutex::new((Vec::new(), false)),
+            buf: Mutex::new((VecDeque::new(), false)),
             ready: Condvar::new(),
         })
     }
@@ -36,7 +39,7 @@ impl Direction {
                 "peer closed the pipe",
             ));
         }
-        g.0.extend_from_slice(data);
+        g.0.extend(data);
         drop(g);
         self.ready.notify_one();
         Ok(data.len())
@@ -49,10 +52,7 @@ impl Direction {
         let mut g = lock(&self.buf);
         loop {
             if !g.0.is_empty() {
-                let n = g.0.len().min(out.len());
-                out[..n].copy_from_slice(&g.0[..n]);
-                g.0.drain(..n);
-                return Ok(n);
+                return g.0.read(out);
             }
             if g.1 {
                 return Ok(0); // clean EOF
@@ -148,6 +148,28 @@ mod tests {
         let (mut a, b) = duplex();
         drop(b);
         assert_eq!(a.write(b"x").unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn large_backlog_reads_back_in_order_in_small_chunks() {
+        let (mut a, mut b) = duplex();
+        let sent: Vec<u8> = (0..1_000_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        for chunk in sent.chunks(4096) {
+            a.write_all(chunk).unwrap();
+        }
+        drop(a);
+        let mut got = Vec::with_capacity(sent.len());
+        let mut buf = [0u8; 13];
+        loop {
+            let n = b.read(&mut buf).unwrap();
+            if n == 0 {
+                break;
+            }
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(got.len(), sent.len());
+        assert!(got == sent, "bytes came back out of order");
+        assert_eq!(b.read(&mut buf).unwrap(), 0, "EOF must be sticky");
     }
 
     #[test]

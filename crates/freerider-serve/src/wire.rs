@@ -90,7 +90,7 @@ fn need_f64(v: &JsonValue, key: &str) -> Result<f64, WireError> {
 fn need_u64(v: &JsonValue, key: &str) -> Result<u64, WireError> {
     need(v, key)?
         .as_u64()
-        .ok_or_else(|| WireError::new(format!("`{key}` must be a non-negative integer")))
+        .ok_or_else(|| WireError::new(format!("`{key}` must be an integer in [0, 2^53]")))
 }
 
 fn need_usize(v: &JsonValue, key: &str) -> Result<usize, WireError> {
@@ -504,7 +504,7 @@ fn read_u64_map(
         .iter()
         .map(|(k, v)| {
             v.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
-                WireError::new(format!("`{what}.{k}` must be a non-negative integer"))
+                WireError::new(format!("`{what}.{k}` must be an integer in [0, 2^53]"))
             })
         })
         .collect()
@@ -660,6 +660,24 @@ mod tests {
         assert_eq!(back.config, s.config);
         assert!(back.stream);
         assert_eq!(back.snapshot_every, 25);
+    }
+
+    #[test]
+    fn submit_seed_round_trips_up_to_2_pow_53() {
+        let mut s = spec();
+        s.config.seed = 1 << 53;
+        assert_eq!(
+            decode_submit(&encode_submit(&s)).unwrap().config.seed,
+            1 << 53
+        );
+        for seed in [(1 << 53) + 1, 1 << 60, u64::MAX] {
+            s.config.seed = seed;
+            let err = decode_submit(&encode_submit(&s)).unwrap_err().to_string();
+            assert!(
+                err.contains("`seed`") && err.contains("2^53"),
+                "{seed}: {err}"
+            );
+        }
     }
 
     #[test]

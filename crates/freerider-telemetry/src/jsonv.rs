@@ -8,9 +8,9 @@
 //! a hash map — iteration order must be deterministic).
 //!
 //! Numbers are held as `f64`, which round-trips every value the writer
-//! emits (`u64`s above 2^53 would lose precision, but the workspace never
-//! writes counters that large into wire payloads; [`JsonValue::as_u64`]
-//! rejects non-integral values rather than truncating).
+//! emits up to [`MAX_EXACT_INT`] = 2^53. [`JsonValue::as_u64`] rejects
+//! integers above that limit, and non-integral values, rather than
+//! truncating.
 //!
 //! Container nesting is capped at [`MAX_DEPTH`] levels: the parser is
 //! recursive-descent (one stack frame per level) and its inputs are
@@ -23,6 +23,10 @@ use std::fmt;
 /// not a stack overflow. Every document the workspace's writer produces
 /// is a handful of levels deep, so 128 is purely a safety margin.
 pub const MAX_DEPTH: usize = 128;
+
+/// The largest integer [`JsonValue::as_u64`] accepts: 2^53, the top of
+/// the range in which every integer has an exact `f64`.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,10 +95,11 @@ impl JsonValue {
         }
     }
 
-    /// The value as an unsigned integer; rejects negatives and fractions.
+    /// The value as an unsigned integer; rejects negatives, fractions and
+    /// integers above [`MAX_EXACT_INT`].
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -345,6 +350,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
+        let digits_only = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
@@ -362,9 +368,16 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid utf-8 in number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err(format!("bad number `{text}`")))
+        let n = text
+            .parse::<f64>()
+            .map_err(|_| self.err(format!("bad number `{text}`")))?;
+        // 2^53 + 1 is the one integer above the exact range whose nearest
+        // `f64` (ties to even) is the limit itself; round that tie up
+        // instead, so `as_u64` rejects it like every larger integer.
+        if digits_only && n == MAX_EXACT_INT as f64 && text != "9007199254740992" {
+            return Ok(JsonValue::Num(n + 2.0));
+        }
+        Ok(JsonValue::Num(n))
     }
 }
 
@@ -479,6 +492,19 @@ mod tests {
         assert_eq!(JsonValue::parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(JsonValue::parse("7.5").unwrap().as_u64(), None);
         assert_eq!(JsonValue::parse("-7").unwrap().as_u64(), None);
+        // The exact-integer limit: 2^53 is accepted; 2^53 + 1 — whose
+        // nearest f64 is 2^53 — and everything above it are not.
+        assert_eq!(
+            JsonValue::parse("9007199254740992").unwrap().as_u64(),
+            Some(MAX_EXACT_INT)
+        );
+        for above in [
+            "9007199254740993",
+            "9007199254740994",
+            "1152921504606846976",
+        ] {
+            assert_eq!(JsonValue::parse(above).unwrap().as_u64(), None, "{above}");
+        }
     }
 
     #[test]

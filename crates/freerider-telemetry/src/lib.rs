@@ -7,31 +7,34 @@
 //!
 //! - **Counters** — monotonic event counts ([`count`], [`count_n`]).
 //! - **Histograms** — log₂-binned `u64` distributions ([`record`]).
-//! - **Span timers** — RAII wall-clock scopes ([`span`]).
+//! - **One stage guard** — [`stage()`] is the single instrumentation point
+//!   of every pipeline stage. It feeds two sinks, each switched on at
+//!   runtime; with both off it costs one relaxed atomic load:
+//!   - the **flight recorder** ([`trace`], `FREERIDER_TRACE`): per-packet
+//!     enter/exit and value events, a deterministic failure-forensics
+//!     dump and a Chrome `trace_event` exporter ([`chrome`]);
+//!   - the **stage profiler** ([`profile`], `FREERIDER_PROFILE`): a
+//!     hierarchical tree of stage paths with wall-clock attribution
+//!     (p50/p90, percent-of-parent, throughput) alongside deterministic
+//!     work counters that are byte-identical across worker counts.
 //! - **Event log** — leveled stderr logging gated by `FREERIDER_LOG`
 //!   ([`event!`]).
 //! - **JSON** — a hand-rolled RFC 8259 writer ([`JsonWriter`]) used by
 //!   `repro --json` for machine-readable results, and its inverse, a
 //!   zero-dependency parser ([`JsonValue`]) used by the `freerider-serve`
 //!   wire protocol to consume those documents.
-//! - **Flight recorder** — per-packet trace scopes gated by
-//!   `FREERIDER_TRACE` ([`trace`]), with a deterministic failure-forensics
-//!   dump and a Chrome `trace_event` exporter ([`chrome`]).
-//! - **Stage profiler** — hierarchical RAII scope trees gated by
-//!   `FREERIDER_PROFILE` ([`profile`]): per-stage wall-clock attribution
-//!   (p50/p90, percent-of-parent, throughput) alongside deterministic
-//!   work counters that are byte-identical across worker counts.
+//! - **Stopwatch** — the one sanctioned wall-clock reader ([`Stopwatch`]).
 //!
 //! # Determinism contract
 //!
 //! Each thread records into its own collector; [`snapshot`] merges them
 //! (plus a graveyard holding finished threads' data) by pure integer
 //! addition. The workspace guarantees bit-identical results for any
-//! `FREERIDER_THREADS` value, and that guarantee extends to the counter
-//! and histogram sections of a snapshot: `Snapshot::metrics_json` is
-//! byte-identical across worker counts for the same workload. Wall-clock
-//! timers are the deliberate exception — they are reported in a separate
-//! `timing` section that consumers must not diff.
+//! `FREERIDER_THREADS` value, and that guarantee extends to a snapshot:
+//! `Snapshot::metrics_json` is byte-identical across worker counts for
+//! the same workload. Wall-clock time lives only in the profiler's
+//! per-stage `timing` objects and the Chrome trace, which consumers must
+//! not diff.
 //!
 //! Like the rest of the workspace, this crate has no external
 //! dependencies.
@@ -47,6 +50,7 @@ pub mod log;
 pub mod profile;
 pub mod registry;
 pub mod snapshot;
+pub mod stage;
 pub mod timer;
 pub mod trace;
 
@@ -56,7 +60,8 @@ pub use json::JsonWriter;
 pub use jsonv::{JsonError, JsonValue};
 pub use log::{Level, LOG_ENV};
 pub use profile::{ProfileData, StageStat, PROFILE_ENV};
-pub use registry::{count, count_n, record, record_span_ns, reset, snapshot, span};
+pub use registry::{count, count_n, record, reset, snapshot};
 pub use snapshot::Snapshot;
-pub use timer::{Span, Stopwatch, TimerStat};
+pub use stage::{stage, Stage};
+pub use timer::Stopwatch;
 pub use trace::{PacketRecord, TraceMode, TRACE_ENV};

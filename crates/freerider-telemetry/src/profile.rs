@@ -4,7 +4,7 @@
 //! did; the flight recorder ([`crate::trace`]) says what happened to one
 //! packet. Neither answers the question a hot-path overhaul starts with:
 //! *where does the time go, stage by stage, as a tree?* This module does.
-//! RAII [`scope`] guards build per-thread call trees; every invocation
+//! [`crate::stage()`] guards build per-thread call trees; every invocation
 //! records its wall-clock into the stage's log₂ histogram, and
 //! [`work`] / [`items`] / [`bits`] attach **deterministic cost counters**
 //! (FFT butterflies, Viterbi ACS ops, demapped symbols, CRC bytes) and
@@ -25,7 +25,7 @@
 //! # Determinism contract
 //!
 //! A stage's *path*, *count*, *samples*, *bits* and *work counters* are
-//! pure functions of the workload: scopes are only opened inside
+//! pure functions of the workload: stages are only opened inside
 //! per-work-item code (never around executor dispatch), so serial and
 //! parallel runs produce identical trees, and the element-wise-addition
 //! merge makes [`work_json`] byte-identical for any `FREERIDER_THREADS`.
@@ -35,7 +35,7 @@
 //!
 //! # Timing invariant
 //!
-//! Child scopes are disjoint sub-intervals of their parent measured by
+//! Child stages are disjoint sub-intervals of their parent measured by
 //! the same monotonic clock, so per thread
 //! `Σ children.total_ns ≤ parent.total_ns`; integer addition across
 //! threads preserves the inequality, and `verify.sh` asserts it on a
@@ -43,16 +43,16 @@
 
 use crate::hist::LogHistogram;
 use crate::json::JsonWriter;
+use crate::stage::{set_switch, switch, PROFILE};
+use crate::timer::Stopwatch;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 /// Environment variable enabling the profiler (`1|on|true|yes`).
 pub const PROFILE_ENV: &str = "FREERIDER_PROFILE";
 
-/// Path under which work recorded outside any open scope is filed.
+/// Path under which work recorded outside any open stage is filed.
 pub const UNSCOPED: &str = "(unscoped)";
 
 /// Schema tag of the full attribution report ([`report_json`]).
@@ -60,10 +60,6 @@ pub const PROFILE_SCHEMA: &str = "freerider-profile/1";
 
 /// Schema tag of the deterministic work subset ([`work_json`]).
 pub const WORK_SCHEMA: &str = "freerider-profile-work/1";
-
-// 0 = not yet initialised, 1 = off, 2 = on. Initialised lazily from the
-// environment; tests and `repro --profile` override with `set_enabled`.
-static MODE: AtomicU8 = AtomicU8::new(0);
 
 /// Parses a `FREERIDER_PROFILE` value (unknown strings mean off).
 pub fn parse_enabled(value: &str) -> bool {
@@ -79,7 +75,7 @@ fn init_from_env() -> bool {
         .map(|v| parse_enabled(&v))
         .unwrap_or(false);
     // Racing initialisers compute the same value; last store wins.
-    MODE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    set_enabled(on);
     on
 }
 
@@ -87,7 +83,7 @@ fn init_from_env() -> bool {
 /// path pays at every hook (first call reads `FREERIDER_PROFILE`).
 #[inline]
 pub fn enabled() -> bool {
-    match MODE.load(Ordering::Relaxed) {
+    match switch(PROFILE) {
         1 => false,
         2 => true,
         _ => init_from_env(),
@@ -97,15 +93,15 @@ pub fn enabled() -> bool {
 /// Overrides the profiler state for the whole process (tests,
 /// `repro --profile`, `bench-baseline`).
 pub fn set_enabled(on: bool) {
-    MODE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    set_switch(PROFILE, if on { 2 } else { 1 });
 }
 
 /// Accumulated statistics of one stage (one tree node).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageStat {
-    /// Scope invocations (deterministic).
+    /// Stage invocations (deterministic).
     pub count: u64,
-    /// Total wall-clock nanoseconds inside the scope (timing).
+    /// Total wall-clock nanoseconds inside the stage (timing).
     pub total_ns: u64,
     /// Per-invocation wall-clock histogram (timing; feeds p50/p90).
     pub hist: LogHistogram,
@@ -183,7 +179,7 @@ thread_local! {
 
 struct Frame {
     path: String,
-    start: Instant,
+    start: Stopwatch,
 }
 
 fn with_stat<F: FnOnce(&mut StageStat)>(path: &str, f: F) {
@@ -206,22 +202,15 @@ fn current_path<F: FnOnce(&str)>(f: F) {
     });
 }
 
-/// An RAII stage scope; dropping it records the invocation.
-#[must_use = "a profile scope measures until it is dropped"]
-#[derive(Debug)]
-pub struct ScopeGuard {
-    armed: bool,
-}
-
-/// Opens stage `name` under the innermost open scope (a root when none
-/// is open). No-op unless [`enabled`]. Scope trees must be opened inside
-/// per-work-item code — never around executor dispatch — so the tree
-/// shape is identical for any worker count.
-pub fn scope(name: &'static str) -> ScopeGuard {
+/// [`crate::stage()`]'s profile sink: opens stage `name` under the
+/// innermost open stage (a root when none is open) and starts its clock.
+/// Returns whether it did (profiling on), i.e. whether [`exit`] must
+/// follow.
+pub(crate) fn enter(name: &'static str) -> bool {
     if !enabled() {
-        return ScopeGuard { armed: false };
+        return false;
     }
-    let armed = STACK
+    STACK
         .try_with(|stack| {
             let mut stack = stack.borrow_mut();
             let path = match stack.last() {
@@ -230,28 +219,22 @@ pub fn scope(name: &'static str) -> ScopeGuard {
             };
             stack.push(Frame {
                 path,
-                start: Instant::now(),
+                start: Stopwatch::start(),
             });
-            true
         })
-        .unwrap_or(false);
-    ScopeGuard { armed }
+        .is_ok()
 }
 
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let frame = STACK.try_with(|stack| stack.borrow_mut().pop());
-        let Ok(Some(frame)) = frame else { return };
-        let ns = frame.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        with_stat(&frame.path, |stat| {
-            stat.count += 1;
-            stat.total_ns = stat.total_ns.saturating_add(ns);
-            stat.hist.record(ns);
-        });
-    }
+/// Closes the innermost open stage, recording one invocation.
+pub(crate) fn exit() {
+    let frame = STACK.try_with(|stack| stack.borrow_mut().pop());
+    let Ok(Some(frame)) = frame else { return };
+    let ns = frame.start.elapsed_ns();
+    with_stat(&frame.path, |stat| {
+        stat.count += 1;
+        stat.total_ns = stat.total_ns.saturating_add(ns);
+        stat.hist.record(ns);
+    });
 }
 
 /// Adds `n` to the deterministic work counter `counter` of the innermost
@@ -476,14 +459,7 @@ fn format_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    // Profile tests share the process-global mode + registry; serialise.
-    static SERIAL: StdMutex<()> = StdMutex::new(());
-
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::stage::{stage, test_serial as guard};
 
     #[test]
     fn parse_values() {
@@ -501,7 +477,7 @@ mod tests {
         set_enabled(false);
         reset();
         {
-            let _s = scope("test.off");
+            let _s = stage("test.off");
             work("test.ops", 5);
             items(3);
             bits(8);
@@ -511,19 +487,19 @@ mod tests {
     }
 
     #[test]
-    fn scope_tree_builds_paths_and_attributes_work() {
+    fn stage_tree_builds_paths_and_attributes_work() {
         let _g = guard();
         set_enabled(true);
         reset();
         for _ in 0..3 {
-            let _root = scope("test.pipe");
+            let _root = stage("test.pipe");
             {
-                let _c = scope("stage_a");
+                let _c = stage("stage_a");
                 work("test.ops", 10);
                 items(64);
             }
             {
-                let _c = scope("stage_b");
+                let _c = stage("stage_b");
                 work("test.ops", 1);
                 bits(100);
             }
@@ -545,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn work_outside_any_scope_lands_in_unscoped() {
+    fn work_outside_any_stage_lands_in_unscoped() {
         let _g = guard();
         set_enabled(true);
         reset();
@@ -562,7 +538,7 @@ mod tests {
         reset();
         let run = || {
             for _ in 0..5 {
-                let _s = scope("test.mt");
+                let _s = stage("test.mt");
                 work("test.ops", 2);
             }
         };
@@ -584,8 +560,8 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _root = scope("test.json");
-            let _c = scope("inner");
+            let _root = stage("test.json");
+            let _c = stage("inner");
         }
         let data = report();
         set_enabled(false);
@@ -606,7 +582,7 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _s = scope("test.det");
+            let _s = stage("test.det");
             work("test.ops", 9);
             items(4);
         }
@@ -630,8 +606,8 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _root = scope("test.tbl");
-            let _c = scope("leaf");
+            let _root = stage("test.tbl");
+            let _c = stage("leaf");
         }
         let data = report();
         set_enabled(false);

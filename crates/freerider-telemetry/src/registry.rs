@@ -8,16 +8,14 @@
 //! without bound and dead workers' data would be lost.
 //!
 //! [`snapshot`] merges graveyard + live collectors. Because counters and
-//! histograms merge by addition, the merged metric section is bit-identical
-//! for any worker count over the same workload; only the wall-clock timer
-//! section varies.
+//! histograms merge by addition, the merged snapshot is bit-identical for
+//! any worker count over the same workload.
 //!
 //! Lock ordering: graveyard → live list → individual collector cell,
 //! everywhere. Poisoned mutexes are recovered (telemetry must never turn a
 //! worker panic into a second failure).
 
 use crate::snapshot::Snapshot;
-use crate::timer::Span;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 struct Registry {
@@ -85,17 +83,6 @@ pub fn record(name: &'static str, value: u64) {
     with_local(|s| s.record(name, value));
 }
 
-/// Records a completed wall-clock span (used by [`Span`]'s drop).
-pub fn record_span_ns(name: &'static str, ns: u64) {
-    with_local(|s| s.record_span_ns(name, ns));
-}
-
-/// Starts a wall-clock span that records itself under `name` on drop.
-#[must_use = "a span measures until it is dropped"]
-pub fn span(name: &'static str) -> Span {
-    Span::start(name)
-}
-
 /// Merges graveyard and all live collectors into one [`Snapshot`].
 ///
 /// The returned counters/histograms depend only on what was recorded, not
@@ -156,18 +143,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(snapshot().counter("test.reg.dead"), 28);
-        reset();
-    }
-
-    #[test]
-    fn span_records_a_timer() {
-        let _guard = lock(&SERIAL);
-        reset();
-        {
-            let _s = span("test.reg.span");
-        }
-        let s = snapshot();
-        assert_eq!(s.timers["test.reg.span"].count, 1);
         reset();
     }
 }

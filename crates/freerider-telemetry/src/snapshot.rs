@@ -1,17 +1,16 @@
 //! The collector/snapshot data model.
 //!
 //! A [`Snapshot`] is both the per-thread collector (each worker owns one)
-//! and the merged view [`crate::snapshot`] returns: counters, log-binned
-//! histograms and span timers keyed by `&'static str` names. Counters and
-//! histograms are pure integer accumulations, so merging per-worker
-//! collectors in any order yields bit-identical results — the property the
-//! workspace's parallel-equivalence guarantee extends to telemetry.
-//! Timers carry wall-clock time and are kept in a separate section that is
-//! reported but never part of the deterministic comparison.
+//! and the merged view [`crate::snapshot`] returns: counters and log-binned
+//! histograms keyed by `&'static str` names. Both are pure integer
+//! accumulations, so merging per-worker collectors in any order yields
+//! bit-identical results — the property the workspace's
+//! parallel-equivalence guarantee extends to telemetry. Stage wall-clock
+//! time is the stage profiler's business ([`crate::profile`]), not this
+//! snapshot's.
 
 use crate::hist::LogHistogram;
 use crate::json::JsonWriter;
-use crate::timer::TimerStat;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -22,8 +21,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<&'static str, u64>,
     /// Log₂-binned value histograms.
     pub histograms: BTreeMap<&'static str, LogHistogram>,
-    /// Wall-clock span timers (excluded from determinism guarantees).
-    pub timers: BTreeMap<&'static str, TimerStat>,
 }
 
 impl Snapshot {
@@ -42,23 +39,15 @@ impl Snapshot {
         self.histograms.entry(name).or_default().record(value);
     }
 
-    /// Records a completed span of `ns` nanoseconds under timer `name`.
-    pub fn record_span_ns(&mut self, name: &'static str, ns: u64) {
-        self.timers.entry(name).or_default().record(ns);
-    }
-
-    /// Merges `other` in: counters and histogram bins sum, timers
-    /// accumulate. Summation is order-independent, so merging per-worker
-    /// collectors gives the same counters/histograms for any worker count.
+    /// Merges `other` in: counters and histogram bins sum. Summation is
+    /// order-independent, so merging per-worker collectors gives the same
+    /// snapshot for any worker count.
     pub fn merge(&mut self, other: &Snapshot) {
         for (&k, &v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
         }
         for (&k, h) in &other.histograms {
             self.histograms.entry(k).or_default().merge(h);
-        }
-        for (&k, t) in &other.timers {
-            self.timers.entry(k).or_default().merge(t);
         }
     }
 
@@ -74,21 +63,12 @@ impl Snapshot {
 
     /// Whether nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty() && self.timers.is_empty()
-    }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Writes the **deterministic** metric section (counters +
     /// histograms) as a JSON object. Byte-identical across worker counts
-    /// for the same workload; timers are deliberately not here.
+    /// for the same workload.
     pub fn write_metrics(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("counters").begin_object();
@@ -105,20 +85,6 @@ impl Snapshot {
         w.end_object();
     }
 
-    /// Writes the wall-clock timer section as a JSON object. Values vary
-    /// run to run; consumers must not diff this section.
-    pub fn write_timers(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        for (&k, t) in &self.timers {
-            w.key(k).begin_object();
-            w.key("count").u64(t.count);
-            w.key("total_ns").u64(t.total_ns);
-            w.key("max_ns").u64(t.max_ns);
-            w.end_object();
-        }
-        w.end_object();
-    }
-
     /// The deterministic metric section as a standalone JSON document.
     pub fn metrics_json(&self) -> String {
         let mut w = JsonWriter::new();
@@ -126,7 +92,8 @@ impl Snapshot {
         w.finish()
     }
 
-    /// A human-readable per-stage breakdown (the `repro --metrics` table).
+    /// A human-readable counter and histogram table (what `repro --metrics`
+    /// prints).
     pub fn table(&self) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() {
@@ -158,30 +125,6 @@ impl Snapshot {
                 .unwrap(); // lint: allow(panic) — write! to a String cannot fail
             }
         }
-        if !self.timers.is_empty() {
-            writeln!(
-                out,
-                "  {:<44} {:>8} {:>10} {:>10}",
-                "timer (wall-clock)", "spans", "total(ms)", "mean(us)"
-            )
-            .unwrap(); // lint: allow(panic) — write! to a String cannot fail
-                       // Stage names are printed in sorted order: the BTreeMap already
-                       // iterates that way, but the explicit sort keeps the report
-                       // stable even if the backing map type ever changes.
-            let mut rows: Vec<(&'static str, &TimerStat)> =
-                self.timers.iter().map(|(&k, t)| (k, t)).collect();
-            rows.sort_unstable_by_key(|&(k, _)| k);
-            for (k, t) in rows {
-                writeln!(
-                    out,
-                    "  {k:<44} {:>8} {:>10.2} {:>10.2}",
-                    t.count,
-                    t.total_ns as f64 / 1e6,
-                    t.mean_ns() / 1e3
-                )
-                .unwrap(); // lint: allow(panic) — write! to a String cannot fail
-            }
-        }
         out
     }
 }
@@ -196,7 +139,6 @@ mod tests {
         s.count("b.misses", 1);
         s.record("a.sizes", 5);
         s.record("a.sizes", 9);
-        s.record_span_ns("a.time", 1500);
         s
     }
 
@@ -208,8 +150,6 @@ mod tests {
         assert_eq!(a.counter("a.hits"), 6);
         assert_eq!(a.counter("b.misses"), 2);
         assert_eq!(a.histogram("a.sizes").unwrap().count, 4);
-        assert_eq!(a.timers["a.time"].count, 2);
-        assert_eq!(a.counter_prefix_sum("a."), 6);
     }
 
     #[test]
@@ -236,7 +176,6 @@ mod tests {
         assert!(
             j.contains(r#""a.sizes":{"count":2,"sum":14,"min":5,"max":9,"bins":[[4,1],[8,1]]}"#)
         );
-        assert!(!j.contains("a.time"), "timers must not leak into metrics");
     }
 
     #[test]
@@ -244,21 +183,7 @@ mod tests {
         let t = sample().table();
         assert!(t.contains("a.hits"));
         assert!(t.contains("a.sizes"));
-        assert!(t.contains("a.time"));
         assert!(t.contains("p50"), "histogram header must show percentiles");
-    }
-
-    #[test]
-    fn table_timing_rows_are_sorted_by_stage_name() {
-        let mut s = Snapshot::new();
-        s.record_span_ns("z.last", 10);
-        s.record_span_ns("a.first", 20);
-        s.record_span_ns("m.middle", 30);
-        let t = s.table();
-        let a = t.find("a.first").unwrap();
-        let m = t.find("m.middle").unwrap();
-        let z = t.find("z.last").unwrap();
-        assert!(a < m && m < z, "timing rows out of order:\n{t}");
     }
 
     #[test]

@@ -1,54 +1,17 @@
-//! Scoped wall-clock span timers.
+//! The workspace's one wall-clock reader.
 //!
-//! A [`Span`] measures the wall-clock time between its creation and drop
-//! and records it under its name. Timer values are **real elapsed time**:
-//! they are reported (JSON `timing` section, breakdown table) but are
-//! deliberately excluded from the deterministic metric section — wall
-//! clocks differ run to run and across worker counts, while counters and
-//! histograms must not.
+//! [`Stopwatch`] is the only place outside the bench harness that names
+//! `Instant`: the stage profiler, the flight recorder's timestamps and the
+//! server's latency rows all read time through it, which keeps the
+//! `wallclock` lint's exemption confined to this file. Wall-clock values
+//! are never part of a deterministic section: they differ run to run and
+//! across worker counts, while counters and histograms must not.
 
 use std::time::Instant;
 
-/// Aggregate wall-clock statistics for one named span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TimerStat {
-    /// Completed spans.
-    pub count: u64,
-    /// Total nanoseconds across all spans (saturating).
-    pub total_ns: u64,
-    /// Longest single span, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl TimerStat {
-    /// Records one completed span.
-    pub fn record(&mut self, ns: u64) {
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Merges another stat in (sums and max).
-    pub fn merge(&mut self, other: &TimerStat) {
-        self.count += other.count;
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Mean span duration in nanoseconds (NaN while empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        self.total_ns as f64 / self.count as f64
-    }
-}
-
-/// A raw monotonic stopwatch — the sanctioned way for other crates to
-/// read elapsed wall-clock time without naming `Instant` themselves
-/// (keeping the `wallclock` lint's exemption confined to this file).
-/// Unlike [`Span`] it records nothing on drop; the caller decides where
-/// the reading goes (e.g. a per-server latency histogram).
+/// A raw monotonic stopwatch. It records nothing by itself; the caller
+/// decides where the reading goes (a profile stage, a trace event, a
+/// per-server latency histogram).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -65,57 +28,5 @@ impl Stopwatch {
     /// Nanoseconds elapsed since [`Stopwatch::start`] (saturating).
     pub fn elapsed_ns(&self) -> u64 {
         self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    /// Seconds elapsed since [`Stopwatch::start`].
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-}
-
-/// An RAII span: created by [`crate::span`], records its elapsed
-/// wall-clock time into the thread's collector when dropped.
-#[derive(Debug)]
-pub struct Span {
-    name: &'static str,
-    start: Instant,
-}
-
-impl Span {
-    /// Starts a span (prefer [`crate::span`]).
-    pub fn start(name: &'static str) -> Self {
-        Span {
-            name,
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        crate::registry::record_span_ns(self.name, ns);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stat_accumulates() {
-        let mut t = TimerStat::default();
-        assert!(t.mean_ns().is_nan());
-        t.record(10);
-        t.record(30);
-        assert_eq!(t.count, 2);
-        assert_eq!(t.total_ns, 40);
-        assert_eq!(t.max_ns, 30);
-        assert!((t.mean_ns() - 20.0).abs() < 1e-12);
-        let mut u = TimerStat::default();
-        u.record(100);
-        t.merge(&u);
-        assert_eq!(t.count, 3);
-        assert_eq!(t.max_ns, 100);
     }
 }

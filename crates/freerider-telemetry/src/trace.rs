@@ -4,10 +4,10 @@
 //! this module answers "why did *this* frame fail": every packet that flows
 //! through a link opens a [`packet`] scope, and the RX chain, the channel,
 //! the XOR decoder and the MAC record structured span/value events into it
-//! (stage enter/exit, CFO estimate, per-subcarrier EVM, Viterbi path
-//! metric, vote margins, slot outcomes). When the scope closes, the
-//! recorded [`PacketRecord`] is retained or discarded according to the
-//! trace mode:
+//! (stage enter/exit from [`crate::stage()`] guards, CFO estimate,
+//! per-subcarrier EVM, Viterbi path metric, vote margins, slot outcomes).
+//! When the scope closes, the recorded [`PacketRecord`] is retained or
+//! discarded according to the trace mode:
 //!
 //! | `FREERIDER_TRACE` | retained |
 //! |-------------------|----------|
@@ -38,11 +38,12 @@
 //! runs produce identical per-packet records.
 
 use crate::json::JsonWriter;
+use crate::stage::{set_switch, switch, TRACE};
+use crate::timer::Stopwatch;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Environment variable selecting the trace mode (`off|failures|all`).
 pub const TRACE_ENV: &str = "FREERIDER_TRACE";
@@ -77,11 +78,10 @@ pub fn parse_mode(value: &str) -> TraceMode {
     }
 }
 
-// Mode is a process-global atomic: 0 = not yet initialised, 1 = Off,
-// 2 = Failures, 3 = All. Initialised lazily from the environment; tests
-// and `repro --trace` override it with `set_mode`.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
+// The mode is the flight recorder's field of the stage switch byte:
+// 0 = not yet initialised, 1 = Off, 2 = Failures, 3 = All. Initialised
+// lazily from the environment; tests and `repro --trace` override it
+// with `set_mode`.
 fn encode_mode(m: TraceMode) -> u8 {
     match m {
         TraceMode::Off => 1,
@@ -92,13 +92,13 @@ fn encode_mode(m: TraceMode) -> u8 {
 
 /// The current trace mode (reads `FREERIDER_TRACE` on first call).
 pub fn mode() -> TraceMode {
-    match MODE.load(Ordering::Relaxed) {
+    match switch(TRACE) {
         0 => {
             let m = std::env::var(TRACE_ENV)
                 .map(|v| parse_mode(&v))
                 .unwrap_or(TraceMode::Off);
             // Racing initialisers compute the same value; last store wins.
-            MODE.store(encode_mode(m), Ordering::Relaxed);
+            set_switch(TRACE, encode_mode(m));
             m
         }
         2 => TraceMode::Failures,
@@ -109,24 +109,20 @@ pub fn mode() -> TraceMode {
 
 /// Overrides the trace mode for the whole process (tests, `repro --trace`).
 pub fn set_mode(m: TraceMode) {
-    MODE.store(encode_mode(m), Ordering::Relaxed);
+    set_switch(TRACE, encode_mode(m));
 }
 
 /// Whether any recording happens at all — the one branch the disabled
 /// path pays at every hook.
 #[inline]
 pub fn active() -> bool {
-    MODE.load(Ordering::Relaxed) > 1
-        || (MODE.load(Ordering::Relaxed) == 0 && mode() != TraceMode::Off)
-}
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+    let m = switch(TRACE);
+    m > 1 || (m == 0 && mode() != TraceMode::Off)
 }
 
 fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
+    static EPOCH: OnceLock<Stopwatch> = OnceLock::new();
+    EPOCH.get_or_init(Stopwatch::start).elapsed_ns()
 }
 
 fn lane() -> u64 {
@@ -179,7 +175,7 @@ impl EventKind {
 pub struct TraceEvent {
     /// Position in the packet's event sequence (0-based).
     pub seq: u32,
-    /// Stage or measurement name (e.g. `wifi.rx.decode`, `wifi.rx.cfo`).
+    /// Stage or measurement name (e.g. `decode`, `wifi.rx.cfo`).
     pub name: &'static str,
     /// Enter / exit / value.
     pub kind: EventKind,
@@ -353,30 +349,20 @@ pub fn in_packet() -> bool {
     active() && STACK.try_with(|s| !s.borrow().is_empty()).unwrap_or(false)
 }
 
-/// An RAII stage guard: enter on creation, exit on drop.
-#[must_use = "a stage records until it is dropped"]
-#[derive(Debug)]
-pub struct StageGuard {
-    name: &'static str,
-    armed: bool,
-}
-
-/// Enters stage `name` in the current packet scope (no-op when tracing is
-/// off or no scope is live).
-pub fn stage(name: &'static str) -> StageGuard {
+/// [`crate::stage()`]'s trace sink: records entering stage `name` in the
+/// current packet scope. Returns whether it did (tracing on and a scope
+/// live), i.e. whether [`exit`] must follow.
+pub(crate) fn enter(name: &'static str) -> bool {
     if !in_packet() {
-        return StageGuard { name, armed: false };
+        return false;
     }
     push_event(name, EventKind::Enter, Value::None);
-    StageGuard { name, armed: true }
+    true
 }
 
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            push_event(self.name, EventKind::Exit, Value::None);
-        }
-    }
+/// Records leaving stage `name`; pairs with a successful [`enter`].
+pub(crate) fn exit(name: &'static str) {
+    push_event(name, EventKind::Exit, Value::None);
 }
 
 /// Records an integer measurement in the current packet scope.
@@ -536,14 +522,7 @@ pub fn forensics_json(records: &[PacketRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    // Trace tests share the process-global mode + sink; serialise them.
-    static SERIAL: StdMutex<()> = StdMutex::new(());
-
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::stage::{stage, test_serial as guard};
 
     #[test]
     fn parse_modes() {

@@ -346,7 +346,7 @@ impl Receiver {
         samples: &[Complex],
         scratch: &'s mut RxScratch,
     ) -> Result<&'s RxPacket, RxError> {
-        let _root = profile::scope("wifi.rx");
+        let _root = telemetry::stage("wifi.rx");
         profile::items(samples.len() as u64);
         let mut cursor = 0usize;
         let mut first_err: Option<RxError> = None;
@@ -381,7 +381,7 @@ impl Receiver {
     /// Receives every decodable PPDU in the buffer, skipping undecodable
     /// regions.
     pub fn receive_all(&self, samples: &[Complex]) -> Vec<RxPacket> {
-        let _root = profile::scope("wifi.rx");
+        let _root = telemetry::stage("wifi.rx");
         profile::items(samples.len() as u64);
         let mut scratch = RxScratch::new();
         let mut out = Vec::new();
@@ -429,9 +429,7 @@ impl Receiver {
     /// instead of paying the full 64× sweep.
     fn detect_with(&self, samples: &[Complex], scratch: &mut RxScratch) -> Result<usize, RxError> {
         telemetry::count("wifi.rx.detect.calls");
-        let _span = telemetry::span("wifi.rx.detect");
-        let _stage = trace::stage("wifi.rx.detect");
-        let _prof = profile::scope("detect");
+        let _stage = telemetry::stage("detect");
         if samples.len() < PREAMBLE_LEN + SYMBOL_LEN {
             return Err(RxError::NoPreamble);
         }
@@ -540,15 +538,13 @@ impl Receiver {
         ltf1: usize,
         scratch: &mut RxScratch,
     ) -> Result<(), RxError> {
-        let _span = telemetry::span("wifi.rx.decode");
-        let _stage = trace::stage("wifi.rx.decode");
-        let _prof = profile::scope("decode");
+        let _stage = telemetry::stage("decode");
         if ltf1 + 2 * FFT_SIZE + SYMBOL_LEN > samples.len() {
             telemetry::count("wifi.rx.truncated");
             return Err(RxError::Truncated);
         }
         // --- Fine CFO from the repeated long symbols. ---
-        let prof_cfo = profile::scope("cfo");
+        let cfo_stage = telemetry::stage("cfo");
         let mut acc = Complex::ZERO;
         for k in 0..FFT_SIZE {
             acc += samples[ltf1 + FFT_SIZE + k] * samples[ltf1 + k].conj();
@@ -575,10 +571,10 @@ impl Receiver {
                 .enumerate()
                 .map(|(n, &x)| x * Complex::cis(-2.0 * std::f64::consts::PI * cfo * n as f64)),
         );
-        drop(prof_cfo);
+        drop(cfo_stage);
 
         // --- Channel estimation from the two long symbols. ---
-        let prof_chanest = profile::scope("chanest");
+        let chanest_stage = telemetry::stage("chanest");
         let mut h = [Complex::ZERO; FFT_SIZE];
         for rep in 0..2 {
             let mut f = [Complex::ZERO; FFT_SIZE];
@@ -600,10 +596,10 @@ impl Receiver {
         };
 
         telemetry::count("wifi.rx.chanest.estimates");
-        drop(prof_chanest);
+        drop(chanest_stage);
 
         // --- SIGNAL symbol. ---
-        let prof_signal = profile::scope("signal");
+        let signal_stage = telemetry::stage("signal");
         if avail - 2 * FFT_SIZE < SYMBOL_LEN {
             telemetry::count("wifi.rx.truncated");
             return Err(RxError::Truncated);
@@ -697,7 +693,7 @@ impl Receiver {
             RxError::BadSignal(e)
         })?;
         telemetry::count("wifi.rx.signal.ok");
-        drop(prof_signal);
+        drop(signal_stage);
 
         // --- DATA symbols: batch FFT → SoA equalise → batched demap. ---
         let rate = signal.rate;
@@ -706,7 +702,7 @@ impl Receiver {
             telemetry::count("wifi.rx.truncated");
             return Err(RxError::Truncated);
         }
-        let prof_equalize = profile::scope("equalize");
+        let equalize_stage = telemetry::stage("equalize");
         let n_cbps = rate.coded_bits_per_symbol();
         // The (N_CBPS, N_BPSC) pairs are 1:1 in 802.11g, so a matching
         // block size means the cached permutation is the right one.
@@ -914,8 +910,8 @@ impl Receiver {
         );
         telemetry::count_n("wifi.rx.demap.symbols", n_sym as u64);
         telemetry::count_n("wifi.rx.deinterleave.symbols", n_sym as u64);
-        drop(prof_equalize);
-        let prof_viterbi = profile::scope("viterbi");
+        drop(equalize_stage);
+        let viterbi_stage = telemetry::stage("viterbi");
         let (scrambled, path_metric) = viterbi_decode_soft_scratch(
             &scratch.coded_llrs,
             rate.code_rate(),
@@ -924,7 +920,7 @@ impl Receiver {
         trace::value_f64("wifi.rx.data.viterbi_metric", path_metric);
         telemetry::count("wifi.rx.viterbi.decodes");
         telemetry::count_n("wifi.rx.viterbi.bits", scrambled.len() as u64);
-        drop(prof_viterbi);
+        drop(viterbi_stage);
 
         // Per-subcarrier EVM vs the nearest constellation point, averaged
         // over all DATA symbols. Only computed while a flight-recorder
@@ -945,7 +941,7 @@ impl Receiver {
         }
 
         // --- Descramble, recovering the seed from the SERVICE bits. ---
-        let prof_descramble = profile::scope("descramble");
+        let descramble_stage = telemetry::stage("descramble");
         let data_bits = &mut scratch.packet.data_bits;
         data_bits.clear();
         data_bits.extend_from_slice(scrambled);
@@ -955,13 +951,13 @@ impl Receiver {
             }
             desc.scramble_in_place(&mut data_bits[7..]);
         }
-        drop(prof_descramble);
+        drop(descramble_stage);
 
-        let prof_fcs = profile::scope("fcs");
+        let fcs_stage = telemetry::stage("fcs");
         let psdu_bits = &scratch.packet.data_bits[16..16 + 8 * signal.length];
         bits::bits_to_bytes_lsb_into(psdu_bits, &mut scratch.packet.psdu);
         let fcs_valid = freerider_coding::crc::check_crc32(&scratch.packet.psdu);
-        drop(prof_fcs);
+        drop(fcs_stage);
         telemetry::count(if fcs_valid {
             "wifi.rx.fcs.ok"
         } else {

@@ -110,12 +110,10 @@ impl Receiver {
     /// Receives the first frame found in `samples`.
     pub fn receive(&self, samples: &[Complex]) -> Result<RxPacket, RxError> {
         telemetry::count("zigbee.rx.receive.calls");
-        let _span = telemetry::span("zigbee.rx.receive");
-        let _stage = trace::stage("zigbee.rx.receive");
-        let _prof = profile::scope("zigbee.rx");
+        let _stage = telemetry::stage("zigbee.rx");
         profile::items(samples.len() as u64);
         // --- Detect the preamble. ---
-        let prof_detect = profile::scope("detect");
+        let detect_stage = telemetry::stage("detect");
         let c = corr::normalized_correlation(samples, &self.sync_ref);
         let thr = self.config.detection_threshold;
         let i = match corr::first_above(&c, thr) {
@@ -139,10 +137,10 @@ impl Receiver {
             telemetry::count("zigbee.rx.sensitivity_drops");
             return Err(RxError::NoPreamble);
         }
-        drop(prof_detect);
+        drop(detect_stage);
 
         // --- Phase estimate from the complex correlation at the peak. ---
-        let prof_sync = profile::scope("sync");
+        let sync_stage = telemetry::stage("sync");
         let refc = &self.sync_ref;
         let mut acc = Complex::ZERO;
         for (k, &r) in refc.iter().enumerate() {
@@ -156,9 +154,9 @@ impl Receiver {
         let derot = Complex::cis(-phase);
         // lint: allow(a1) — one per-packet derotation buffer, sized once before the symbol loop
         let corrected: Vec<Complex> = samples[start..].iter().map(|&z| z * derot).collect();
-        drop(prof_sync);
+        drop(sync_stage);
 
-        let prof_despread = profile::scope("despread");
+        let despread_stage = telemetry::stage("despread");
         // --- Walk the symbol grid looking for the SFD. ---
         // The preamble has 8 zero symbols; the correlator may have locked
         // onto any of them, so scan up to 10 symbols for the SFD pair (7, A).
@@ -212,8 +210,8 @@ impl Receiver {
         if trace::in_packet() && !symbol_scores.is_empty() {
             trace::value_f64s("zigbee.rx.symbol_scores", &symbol_scores);
         }
-        drop(prof_despread);
-        let prof_fcs = profile::scope("fcs");
+        drop(despread_stage);
+        let fcs_stage = telemetry::stage("fcs");
         let psdu = crate::frame::symbols_to_bytes(&psdu_symbols);
         let ppdu = Ppdu { psdu };
         let fcs_valid = ppdu.fcs_valid();
@@ -222,7 +220,7 @@ impl Receiver {
         } else {
             "zigbee.rx.fcs.bad"
         });
-        drop(prof_fcs);
+        drop(fcs_stage);
         trace::value_str("zigbee.rx.fcs", if fcs_valid { "ok" } else { "bad" });
         telemetry::count("zigbee.rx.packets");
         profile::bits(8 * psdu_len as u64);

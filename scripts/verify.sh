@@ -12,6 +12,9 @@ cargo build --workspace --release --offline
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
+echo "==> perfbench tests (the benchmark builds against the telemetry API)"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -49,10 +52,12 @@ python3 - <<'EOF'
 import json
 with open("/tmp/freerider_repro_smoke.json") as f:
     doc = json.load(f)
-assert doc["schema"] == "freerider-repro/2", doc.get("schema")
+assert doc["schema"] == "freerider-repro/3", doc.get("schema")
 assert doc["experiments"], "no experiments in repro JSON"
 for e in doc["experiments"]:
     assert e["name"] and e["output"], e.get("name")
+    # Stage wall-clock lives in the profile report only.
+    assert sorted(e["timing"]) == ["wall_s"], e["timing"]
     assert "forensics" in e, f"{e['name']}: missing forensics section"
     assert isinstance(e["forensics"]["packets"], list)
 print(f"repro JSON OK: {len(doc['experiments'])} experiments")
@@ -112,8 +117,18 @@ for path, s in by_path.items():
     child_ns = sum(c["timing"]["total_ns"] for c in kids)
     assert child_ns <= s["timing"]["total_ns"], \
         f"{path}: children {child_ns}ns exceed parent {s['timing']['total_ns']}ns"
+# One schema for stage data: every stage span of the fig10 Chrome trace
+# (packet spans carry a `#id`) is the leaf of some profile path.
+with open("/tmp/freerider_trace_smoke.json") as f:
+    trace_doc = json.load(f)
+leaves = {p.rsplit("/", 1)[-1] for p in by_path}
+span_names = {e["name"] for e in trace_doc["traceEvents"]
+              if e.get("ph") == "X" and "#" not in e["name"]}
+assert span_names, "no stage spans in the fig10 Chrome trace"
+assert span_names <= leaves, \
+    f"stage spans missing from the profile: {sorted(span_names - leaves)}"
 print(f"profile OK: {len(stages)} stages, {work_total} work units, "
-      f"tree invariant holds")
+      f"tree invariant holds, {len(span_names)} trace stage names match")
 EOF
 
 echo "==> bench_diff selftest (per-stage regression gate gates)"

@@ -21,6 +21,7 @@ use freerider::serve::client::StreamEvent;
 use freerider::serve::server::DEFAULT_ADDR;
 use freerider::serve::wire::JobSpec;
 use freerider::serve::Client;
+use freerider::telemetry::jsonv::MAX_EXACT_INT;
 use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -99,11 +100,17 @@ fn cmd_submit(client: &mut Client<TcpStream>, a: &Args) -> Result<(), String> {
     if tags == 0 {
         return Err("--tags must be positive".to_string());
     }
+    // The wire carries integers exactly only up to 2^53; the server
+    // would bounce a larger seed.
+    let seed = a.get("seed", 1u64)?;
+    if seed > MAX_EXACT_INT {
+        return Err(format!("--seed must be at most 2^53 ({MAX_EXACT_INT})"));
+    }
     let watch = a.has("watch");
     let spec = JobSpec {
         config: SimConfig {
             rounds: a.get("rounds", 400usize)?,
-            seed: a.get("seed", 1u64)?,
+            seed,
             ..SimConfig::default()
         },
         deployment: grid_deployment(tags),
@@ -365,7 +372,8 @@ fn usage() -> &'static str {
        freerider-client [--addr host:port] shutdown\n\
      \n\
      `stats` prints one server metrics snapshot (--json emits the raw\n\
-     Stats payload); `top` polls it live, like top(1).\n"
+     Stats payload); `top` polls it live, like top(1). `--seed` is at\n\
+     most 2^53, the largest integer the wire carries exactly.\n"
 }
 
 fn main() -> ExitCode {

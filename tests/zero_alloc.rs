@@ -7,14 +7,40 @@
 //! times. This pins the tentpole guarantee the benchmarks rely on — any
 //! future allocation sneaking into `receive_with` fails this test rather
 //! than silently costing 15% on `wifi/rx_1000B_warm`.
+//!
+//! Counting is armed per thread, so each test counts only its own
+//! allocations however the harness schedules the tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use freerider::wifi::{Receiver, RxConfig, RxScratch, Transmitter, TxConfig};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // `const` initialisers with no destructor: reading them never
+    // allocates, so the allocator may consult them.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation if this thread has counting armed.
+fn note_alloc() {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+/// Runs `f` with counting armed on this thread; returns its result and
+/// the number of allocations it made.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let r = f();
+    COUNTING.with(|on| on.set(false));
+    (r, ALLOCS.with(Cell::get))
+}
 
 struct CountingAlloc;
 
@@ -25,9 +51,7 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same contract as `System.alloc`; layout forwarded unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
@@ -39,17 +63,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // A realloc is a (re)allocation, so it counts toward the total.
     // SAFETY: same contract as `System.realloc`; args forwarded unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: same contract as `System.alloc_zeroed`; layout forwarded unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 }
@@ -78,11 +98,7 @@ fn steady_state_rx_with_warm_scratch_is_allocation_free() {
     assert_eq!(warm.psdu, framed);
 
     // Packet 2 through the warm scratch: zero heap traffic allowed.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let result = rx.receive_with(&wave, &mut scratch);
-    COUNTING.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let (result, n) = count_allocs(|| rx.receive_with(&wave, &mut scratch));
 
     let pkt = result.unwrap();
     assert!(pkt.fcs_valid);
@@ -133,20 +149,18 @@ fn warm_batch_kernels_are_allocation_free() {
         &mut fused_out,
     ); // warm
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let _ = viterbi_decode_soft_scratch(&llrs, CodeRate::Half, &mut vit);
-    plan64().run_batch(&mut blocks).unwrap();
-    soft_demap_batch_into(&symbols, &gains, Modulation::Qam16, &mut demap_out);
-    soft_demap_deinterleave_batch_into(
-        &symbols,
-        &gains,
-        Modulation::Qam16,
-        il.inverse_map(),
-        &mut fused_out,
-    );
-    COUNTING.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let ((), n) = count_allocs(|| {
+        let _ = viterbi_decode_soft_scratch(&llrs, CodeRate::Half, &mut vit);
+        plan64().run_batch(&mut blocks).unwrap();
+        soft_demap_batch_into(&symbols, &gains, Modulation::Qam16, &mut demap_out);
+        soft_demap_deinterleave_batch_into(
+            &symbols,
+            &gains,
+            Modulation::Qam16,
+            il.inverse_map(),
+            &mut fused_out,
+        );
+    });
 
     assert_eq!(
         n, 0,
