@@ -27,13 +27,12 @@
 
 use freerider_bench::micro::{bench, Summary};
 use freerider_coding::convolutional::{
-    encode, viterbi_decode_soft_scratch, viterbi_decode_soft_scratch_lanes,
-    viterbi_decode_soft_scratch_scalar, CodeRate, ViterbiScratch, DEFAULT_VITERBI_LANES,
-    VITERBI_LANE_WIDTHS,
+    encode, viterbi_decode_soft_scratch, viterbi_decode_soft_scratch_lanes as vit_lanes, CodeRate,
+    ViterbiScratch, DEFAULT_VITERBI_LANES,
 };
 use freerider_dsp::corr::{
-    normalized_correlation_into, normalized_correlation_lanes_into,
-    normalized_correlation_scalar_into, CORR_LANE_WIDTHS, DEFAULT_CORR_LANES,
+    normalized_correlation_into, normalized_correlation_lanes_into as corr_lanes,
+    DEFAULT_CORR_LANES,
 };
 use freerider_dsp::{fft, Complex};
 use freerider_telemetry::profile;
@@ -42,6 +41,27 @@ use freerider_telemetry::JsonWriter;
 use freerider_wifi::{Receiver, RxConfig, Transmitter, TxConfig};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// The lane-width sweep of the soft Viterbi kernel: one row per width,
+/// width 1 being the unbatched baseline. This binary is the only place
+/// the non-default widths are compiled; `bench_diff.py --assert-lanes`
+/// checks `DEFAULT_VITERBI_LANES` wins it.
+type ViterbiKernel = for<'s> fn(&[f64], CodeRate, &'s mut ViterbiScratch) -> (&'s [u8], f64);
+const VITERBI_SWEEP: [(usize, &str, ViterbiKernel); 4] = [
+    (1, "coding/viterbi/lanes_1", vit_lanes::<1>),
+    (2, "coding/viterbi/lanes_2", vit_lanes::<2>),
+    (4, "coding/viterbi/lanes_4", vit_lanes::<4>),
+    (8, "coding/viterbi/lanes_8", vit_lanes::<8>),
+];
+
+/// The same sweep for the normalised correlation (`DEFAULT_CORR_LANES`).
+type CorrKernel = fn(&[Complex], &[Complex], &mut Vec<f64>);
+const CORR_SWEEP: [(usize, &str, CorrKernel); 4] = [
+    (1, "dsp/ltf_corr/lanes_1", corr_lanes::<1>),
+    (2, "dsp/ltf_corr/lanes_2", corr_lanes::<2>),
+    (4, "dsp/ltf_corr/lanes_4", corr_lanes::<4>),
+    (8, "dsp/ltf_corr/lanes_8", corr_lanes::<8>),
+];
 
 fn git_short_sha() -> String {
     std::process::Command::new("git")
@@ -74,9 +94,9 @@ fn write_summary(w: &mut JsonWriter, s: &Summary, bytes: u64) {
     w.end_object();
 }
 
-/// Verifies the planned 64-point FFT path against the reference
+/// Verifies the 64-point FFT path (`fft64`/`ifft64`) against the direct
 /// transform on a fixed vector, bit for bit. Wired into `verify.sh` as a
-/// release-build smoke check: the planned path must never drift from the
+/// release-build smoke check: the 64-point path must never drift from the
 /// reference by even one ULP, or repro byte-identity silently breaks.
 fn selftest_fft() -> ExitCode {
     let data: Vec<Complex> = (0..64).map(|i| Complex::cis(i as f64 * 0.3)).collect();
@@ -108,7 +128,7 @@ fn selftest_fft() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    println!("selftest-fft: planned 64-point FFT/IFFT bit-identical to reference");
+    println!("selftest-fft: fft64/ifft64 bit-identical to the direct transform");
     ExitCode::SUCCESS
 }
 
@@ -227,7 +247,6 @@ fn main() -> ExitCode {
     }
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
     let mut out_path: Option<String> = None;
-    let mut lanes_mode = "all".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--out" {
@@ -238,17 +257,8 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-        } else if a == "--lanes" {
-            match it.next() {
-                Some(m) if m == "all" || m == "off" => lanes_mode = m.clone(),
-                _ => {
-                    eprintln!("--lanes requires `all` or `off`");
-                    return ExitCode::FAILURE;
-                }
-            }
         }
     }
-    let lane_rows = lanes_mode == "all";
     let sha = git_short_sha();
     let out_path = out_path.unwrap_or_else(|| format!("benchmarks/BENCH_{sha}.json"));
     let (budget, max_iters) = if quick {
@@ -305,152 +315,51 @@ fn main() -> ExitCode {
         bytes: 125,
     });
 
-    // Lane-width A/B rows: the retained scalar kernel against every
-    // compiled lane width, on the same workloads the dispatchers see.
-    // `bench_diff.py --assert-lanes` checks the compiled default of each
-    // family is the measured winner among these rows.
-    if lane_rows {
+    // Lane-width sweep rows: every width of each lane-batched kernel on
+    // the workload its dispatcher sees. `bench_diff.py --assert-lanes`
+    // checks the compiled default of each family is the measured winner.
+    for (_, name, kernel) in VITERBI_SWEEP {
         kernels.push(KernelResult {
-            name: "coding/viterbi/scalar",
-            summary: bench("coding/viterbi/scalar", budget, max_iters, || {
-                viterbi_decode_soft_scratch_scalar(&vit_llrs, CodeRate::Half, &mut vit).1
+            name,
+            summary: bench(name, budget, max_iters, || {
+                kernel(&vit_llrs, CodeRate::Half, &mut vit).1
             }),
             bytes: 125,
         });
-        kernels.push(KernelResult {
-            name: "coding/viterbi/lanes_2",
-            summary: bench("coding/viterbi/lanes_2", budget, max_iters, || {
-                viterbi_decode_soft_scratch_lanes::<2>(&vit_llrs, CodeRate::Half, &mut vit).1
-            }),
-            bytes: 125,
-        });
-        kernels.push(KernelResult {
-            name: "coding/viterbi/lanes_4",
-            summary: bench("coding/viterbi/lanes_4", budget, max_iters, || {
-                viterbi_decode_soft_scratch_lanes::<4>(&vit_llrs, CodeRate::Half, &mut vit).1
-            }),
-            bytes: 125,
-        });
-        kernels.push(KernelResult {
-            name: "coding/viterbi/lanes_8",
-            summary: bench("coding/viterbi/lanes_8", budget, max_iters, || {
-                viterbi_decode_soft_scratch_lanes::<8>(&vit_llrs, CodeRate::Half, &mut vit).1
-            }),
-            bytes: 125,
-        });
+    }
 
-        // Normalised-correlation A/B on an LTF-shaped workload: a
-        // 64-sample reference slid over ~1k samples, the shape of the
-        // WiFi fine-timing search.
-        let corr_sig: Vec<Complex> = (0..1024)
-            .map(|i| Complex::cis(0.0007 * (i * i) as f64) * (1.0 + 0.1 * ((i % 17) as f64)))
-            .collect();
-        let corr_ref: Vec<Complex> = (0..64).map(|i| Complex::cis(0.11 * i as f64)).collect();
-        let mut corr_out: Vec<f64> = Vec::new();
+    // Normalised correlation on an LTF-shaped workload: a 64-sample
+    // reference slid over ~1k samples, the shape of the WiFi fine-timing
+    // search.
+    let corr_sig: Vec<Complex> = (0..1024)
+        .map(|i| Complex::cis(0.0007 * (i * i) as f64) * (1.0 + 0.1 * ((i % 17) as f64)))
+        .collect();
+    let corr_ref: Vec<Complex> = (0..64).map(|i| Complex::cis(0.11 * i as f64)).collect();
+    let mut corr_out: Vec<f64> = Vec::new();
+    for (_, name, kernel) in CORR_SWEEP {
         kernels.push(KernelResult {
-            name: "dsp/ltf_corr/scalar",
-            summary: bench("dsp/ltf_corr/scalar", budget, max_iters, || {
-                normalized_correlation_scalar_into(&corr_sig, &corr_ref, &mut corr_out);
+            name,
+            summary: bench(name, budget, max_iters, || {
+                kernel(&corr_sig, &corr_ref, &mut corr_out);
                 corr_out.len()
-            }),
-            bytes: 0,
-        });
-        kernels.push(KernelResult {
-            name: "dsp/ltf_corr/lanes_2",
-            summary: bench("dsp/ltf_corr/lanes_2", budget, max_iters, || {
-                normalized_correlation_lanes_into::<2>(&corr_sig, &corr_ref, &mut corr_out);
-                corr_out.len()
-            }),
-            bytes: 0,
-        });
-        kernels.push(KernelResult {
-            name: "dsp/ltf_corr/lanes_4",
-            summary: bench("dsp/ltf_corr/lanes_4", budget, max_iters, || {
-                normalized_correlation_lanes_into::<4>(&corr_sig, &corr_ref, &mut corr_out);
-                corr_out.len()
-            }),
-            bytes: 0,
-        });
-        kernels.push(KernelResult {
-            name: "dsp/ltf_corr/lanes_8",
-            summary: bench("dsp/ltf_corr/lanes_8", budget, max_iters, || {
-                normalized_correlation_lanes_into::<8>(&corr_sig, &corr_ref, &mut corr_out);
-                corr_out.len()
-            }),
-            bytes: 0,
-        });
-        // Guard against a dispatcher default drifting from what these
-        // rows measure: the dispatch entry points must agree with the
-        // corresponding width row bit-for-bit.
-        let mut dispatch_out = Vec::new();
-        normalized_correlation_into(&corr_sig, &corr_ref, &mut dispatch_out);
-        normalized_correlation_scalar_into(&corr_sig, &corr_ref, &mut corr_out);
-        assert!(
-            corr_out.len() == dispatch_out.len()
-                && corr_out
-                    .iter()
-                    .zip(&dispatch_out)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "corr dispatch diverged from scalar"
-        );
-
-        // Batch-FFT A/B: sixteen 64-point blocks back to back, one
-        // `fft64` call per block vs one `run_batch` over the packed
-        // buffer (bit-identical transforms, amortised dispatch).
-        let fft_blocks: Vec<Complex> = (0..16 * 64)
-            .map(|i| Complex::cis(0.003 * (i * i % 977) as f64))
-            .collect();
-        let mut fft_buf = fft_blocks.clone();
-        kernels.push(KernelResult {
-            name: "dsp/fft64_x16/single",
-            summary: bench("dsp/fft64_x16/single", budget, max_iters, || {
-                fft_buf.copy_from_slice(&fft_blocks);
-                for chunk in fft_buf.chunks_exact_mut(64) {
-                    let block: &mut [Complex; 64] = chunk.try_into().unwrap();
-                    fft::fft64(block);
-                }
-            }),
-            bytes: 0,
-        });
-        kernels.push(KernelResult {
-            name: "dsp/fft64_x16/batch",
-            summary: bench("dsp/fft64_x16/batch", budget, max_iters, || {
-                fft_buf.copy_from_slice(&fft_blocks);
-                fft::plan64().run_batch(&mut fft_buf).unwrap();
-            }),
-            bytes: 0,
-        });
-
-        // Soft-demap A/B: twenty 16-QAM symbols per call, per-symbol
-        // entry point vs the batched plane kernel the RX path uses.
-        use freerider_wifi::mapping::{soft_demap_batch_into, soft_demap_symbols_into};
-        use freerider_wifi::rates::Modulation;
-        let demap_syms: Vec<[Complex; 48]> = (0..20)
-            .map(|n| std::array::from_fn(|i| Complex::cis(0.37 * (n * 48 + i) as f64)))
-            .collect();
-        let demap_gains: Vec<f64> = (0..48).map(|i| 0.4 + (i as f64) / 40.0).collect();
-        let mut demap_out: Vec<f64> = Vec::new();
-        kernels.push(KernelResult {
-            name: "wifi/demap_x20/scalar",
-            summary: bench("wifi/demap_x20/scalar", budget, max_iters, || {
-                let mut n = 0usize;
-                for s in &demap_syms {
-                    soft_demap_symbols_into(s, &demap_gains, Modulation::Qam16, &mut demap_out);
-                    n += demap_out.len();
-                }
-                n
-            }),
-            bytes: 0,
-        });
-        kernels.push(KernelResult {
-            name: "wifi/demap_x20/batch",
-            summary: bench("wifi/demap_x20/batch", budget, max_iters, || {
-                soft_demap_batch_into(&demap_syms, &demap_gains, Modulation::Qam16, &mut demap_out);
-                demap_out.len()
             }),
             bytes: 0,
         });
     }
+    // Guard against a dispatcher drifting from what these rows measure:
+    // the dispatch entry point must agree with the unbatched width
+    // bit-for-bit.
+    let mut dispatch_out = Vec::new();
+    normalized_correlation_into(&corr_sig, &corr_ref, &mut dispatch_out);
+    corr_lanes::<1>(&corr_sig, &corr_ref, &mut corr_out);
+    assert!(
+        corr_out.len() == dispatch_out.len()
+            && corr_out
+                .iter()
+                .zip(&dispatch_out)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "corr dispatch diverged from lanes_1"
+    );
 
     let tx = Transmitter::new(TxConfig::default());
     let mut psdu = vec![0xA5u8; 1000];
@@ -644,29 +553,27 @@ fn main() -> ExitCode {
         write_summary(&mut w, &k.summary, k.bytes);
     }
     w.end_object();
-    // Compiled lane-width selections, next to the A/B rows that justify
+    // Compiled lane-width selections, next to the sweep rows that justify
     // them. `bench_diff.py --assert-lanes` checks each `selected` is the
     // measured winner of its `coding/viterbi/*` / `dsp/ltf_corr/*` rows.
-    if lane_rows {
-        w.key("lanes").begin_object();
-        w.key("viterbi").begin_object();
-        w.key("selected").u64(DEFAULT_VITERBI_LANES as u64);
-        w.key("widths").begin_array();
-        for width in VITERBI_LANE_WIDTHS {
-            w.u64(width as u64);
-        }
-        w.end_array();
-        w.end_object();
-        w.key("corr").begin_object();
-        w.key("selected").u64(DEFAULT_CORR_LANES as u64);
-        w.key("widths").begin_array();
-        for width in CORR_LANE_WIDTHS {
-            w.u64(width as u64);
-        }
-        w.end_array();
-        w.end_object();
-        w.end_object();
+    w.key("lanes").begin_object();
+    w.key("viterbi").begin_object();
+    w.key("selected").u64(DEFAULT_VITERBI_LANES as u64);
+    w.key("widths").begin_array();
+    for (width, ..) in VITERBI_SWEEP {
+        w.u64(width as u64);
     }
+    w.end_array();
+    w.end_object();
+    w.key("corr").begin_object();
+    w.key("selected").u64(DEFAULT_CORR_LANES as u64);
+    w.key("widths").begin_array();
+    for (width, ..) in CORR_SWEEP {
+        w.u64(width as u64);
+    }
+    w.end_array();
+    w.end_object();
+    w.end_object();
     w.key("trace_overhead").begin_object();
     w.key("wifi_rx_off_ns")
         .u64(rx_off_a.median.as_nanos() as u64);

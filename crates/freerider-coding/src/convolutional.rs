@@ -139,8 +139,9 @@ pub fn viterbi_decode(coded: &[u8], rate: CodeRate) -> Vec<u8> {
 /// The output length is computed exactly up front and `out` reserves
 /// exactly that much: no erasure is emitted past the last input value's
 /// bit pair, and no odd tail is pushed only to be popped again. The
-/// resulting values are identical to [`reference::depuncture_soft`] —
-/// pinned by `depuncture_matches_reference_and_pins_lengths`.
+/// resulting values are identical to the test oracle
+/// `reference::depuncture_soft` — pinned by
+/// `depuncture_matches_reference_and_pins_lengths`.
 pub fn depuncture_soft_into(llrs: &[f64], rate: CodeRate, out: &mut Vec<f64>) {
     out.clear();
     let pat = rate.pattern();
@@ -281,7 +282,7 @@ const SIGN_BIT: u64 = 1 << 63;
 /// is [`SIGN_BIT`] when butterfly `j`'s even-predecessor branch expects
 /// coded bit A (B) to be 1, so the addend is `−ra` (`−rb`). XOR-ing the
 /// mask into the raw LLR's bit pattern is an exact IEEE negation —
-/// bit-identical to the scalar kernel's `bm` table lookup, but a pure
+/// bit-identical to the reference's per-transition `±r` cost, but a pure
 /// integer op the autovectoriser handles in SoA form.
 const fn branch_sign_masks() -> ([u64; NSTATES / 2], [u64; NSTATES / 2]) {
     let mut ma = [0u64; NSTATES / 2];
@@ -302,21 +303,16 @@ const fn branch_sign_masks() -> ([u64; NSTATES / 2], [u64; NSTATES / 2]) {
 
 const BRANCH_SIGN_MASKS: ([u64; NSTATES / 2], [u64; NSTATES / 2]) = branch_sign_masks();
 
-/// Lane widths the workspace compiles [`viterbi_decode_soft_scratch_lanes`]
-/// at. `bench-baseline --lanes` emits an A/B row per width (plus the scalar
-/// comparator) so [`DEFAULT_VITERBI_LANES`] stays a measured claim.
-pub const VITERBI_LANE_WIDTHS: [usize; 3] = [2, 4, 8];
-
-/// The measured-fastest lane width on the reference machine (see
-/// `benchmarks/latest.json` `lanes` section and DESIGN §11);
+/// The measured-fastest lane width of the `bench-baseline` sweep over
+/// widths 1, 2, 4 and 8 (see its `lanes` section and DESIGN §11);
 /// [`viterbi_decode_soft_scratch`] dispatches here.
-pub const DEFAULT_VITERBI_LANES: usize = 2;
+pub const DEFAULT_VITERBI_LANES: usize = 1;
 
 /// The flattened, table-driven soft Viterbi kernel.
 ///
-/// Same decode as [`reference::viterbi_decode_soft_with_metric`] — pinned
-/// bit-for-bit by `table_viterbi_matches_reference` — but restructured for
-/// speed:
+/// Same decode as the test oracle
+/// `reference::viterbi_decode_soft_with_metric` — pinned bit-for-bit by
+/// `table_viterbi_matches_reference` — but restructured for speed:
 ///
 /// - the 4 possible branch metric pairs `(±ra, ±rb)` are formed once per
 ///   trellis step instead of per transition;
@@ -334,9 +330,7 @@ pub const DEFAULT_VITERBI_LANES: usize = 2;
 /// The returned slice borrows the scratch's decoded-bit buffer.
 ///
 /// Dispatches to the lane-batched kernel at the measured default width
-/// ([`DEFAULT_VITERBI_LANES`]); the scalar formulation is retained as
-/// [`viterbi_decode_soft_scratch_scalar`] for A/B benchmarking. Every
-/// compiled width decodes bit-identically (see
+/// ([`DEFAULT_VITERBI_LANES`]). Every width decodes bit-identically (see
 /// `lane_viterbi_matches_reference_at_every_width`).
 // lint: hot-path
 #[inline]
@@ -400,82 +394,17 @@ fn viterbi_traceback<'s>(
     (&scratch.decoded, best_metric)
 }
 
-/// The scalar (pre-lane) table-driven kernel, retained verbatim as the
-/// A/B comparator for the lane-batched rewrite: `bench-baseline --lanes`
-/// measures it against every compiled lane width.
-// lint: hot-path
-pub fn viterbi_decode_soft_scratch_scalar<'s>(
-    llrs: &[f64],
-    rate: CodeRate,
-    scratch: &'s mut ViterbiScratch,
-) -> (&'s [u8], f64) {
-    let nsteps = viterbi_prologue(llrs, rate, scratch);
-    if nsteps == 0 {
-        return (&scratch.decoded, 0.0);
-    }
-    const INF: f64 = f64::MAX / 4.0;
-    // Two path-metric rows live on the stack (1 KiB total): fixed-size
-    // arrays let the compiler elide every bounds check in the ACS loop,
-    // and the rows "swap" by reference, never by copy.
-    let mut row_a = [INF; NSTATES];
-    row_a[0] = 0.0; // encoder starts in state 0
-    let mut row_b = [INF; NSTATES];
-    let (mut metric, mut next) = (&mut row_a, &mut row_b);
-    let ViterbiScratch { lattice, surv, .. } = &mut *scratch;
-    // Empty lattice = unpunctured rate: the prologue left the branch
-    // pairs in place and they stream straight from the caller's LLRs.
-    let lat: &[f64] = if lattice.is_empty() {
-        &llrs[..2 * nsteps]
-    } else {
-        lattice
-    };
-    for (t, pair) in lat.chunks_exact(2).enumerate() {
-        let (ra, rb) = (pair[0], pair[1]);
-        // Branch metric addend pairs, indexed by expected symbol
-        // (a << 1) | b: cost of llr r for expected bit e is −r if e=1,
-        // +r if e=0. Kept as a pair and applied as two sequential adds so
-        // the summation order (pm + a) + b matches the reference exactly.
-        let bm = [(ra, rb), (ra, -rb), (-ra, rb), (-ra, -rb)];
-        let mut bits = 0u64;
-        // Butterfly pairing: next-states `j` and `j + 32` share the same
-        // two predecessors (`2j`, `2j + 1`), so each metric entry is
-        // loaded once per pair instead of twice. Because both generator
-        // polynomials tap the input bit and the oldest register bit
-        // (asserted at compile time below), flipping either flips both
-        // output bits: the odd predecessor's symbol and the high state's
-        // symbols are each `XOR 3` of the even/low one. An XOR-3 symbol
-        // negates both addends, and IEEE negation is exact, so one 2-bit
-        // lookup per butterfly yields all four branch costs bit-identical
-        // to the reference's four independent lookups.
-        for j in 0..NSTATES / 2 {
-            let m0 = metric[2 * j];
-            let m1 = metric[2 * j + 1];
-            let hi = j + NSTATES / 2;
-            let (a, b) = bm[(BRANCH_SYMS[j][0] & 3) as usize];
-            let (na, nb) = (-a, -b);
-            let c0 = (m0 + a) + b;
-            let c1 = (m1 + na) + nb;
-            // Strict `<`: on a tie the even predecessor wins, matching the
-            // reference's visit order (ps ascending, strict improvement).
-            let lo_take1 = c1 < c0;
-            next[j] = if lo_take1 { c1 } else { c0 };
-            bits |= (lo_take1 as u64) << j;
-            let d0 = (m0 + na) + nb;
-            let d1 = (m1 + a) + b;
-            let hi_take1 = d1 < d0;
-            next[hi] = if hi_take1 { d1 } else { d0 };
-            bits |= (hi_take1 as u64) << hi;
-        }
-        surv[t] = bits;
-        std::mem::swap(&mut metric, &mut next);
-    }
-    viterbi_traceback(scratch, nsteps, metric)
-}
-
 /// One lane-batched ACS trellis step over all 32 butterflies, `LANES`
 /// butterflies at a time in straight-line, bounds-check-free sub-loops
 /// the autovectoriser handles:
 ///
+/// - next-states `j` and `j + 32` share the same two predecessors (`2j`,
+///   `2j + 1`), so each metric entry is loaded once per butterfly. Both
+///   generator polynomials tap the input bit and the oldest register bit
+///   (asserted at compile time next to `G0`/`G1`), so the odd
+///   predecessor's symbol and the high state's symbols are each `XOR 3`
+///   of the even/low one: both addends negate, and IEEE negation is
+///   exact, so one sign mask per butterfly yields all four branch costs;
 /// - the per-butterfly branch addends materialise in-lane by XOR-ing
 ///   [`BRANCH_SIGN_MASKS`] into the raw LLR bit patterns (exact IEEE
 ///   negation), and the even/odd predecessor metrics load straight from
@@ -486,9 +415,8 @@ pub fn viterbi_decode_soft_scratch_scalar<'s>(
 ///   selects (ties keep the even predecessor, matching the reference's
 ///   visit order) pick survivors, whose bits fold per sub-lane and merge.
 ///
-/// The step performs the exact arithmetic of the scalar kernel on the
-/// same values in the same order — lane width changes scheduling, never
-/// results.
+/// Every width performs the same arithmetic on the same values in the
+/// same order — lane width changes scheduling, never results.
 // lint: hot-path
 #[inline]
 fn acs_step_lanes<const LANES: usize>(
@@ -513,7 +441,8 @@ fn acs_step_lanes<const LANES: usize>(
             let b = f64::from_bits(rb_bits ^ mb[j]);
             let (x0, x1) = (metric[2 * j], metric[2 * j + 1]);
             // IEEE subtraction is addition of the exact negation, so
-            // `(x − a) − b` is bit-identical to the scalar `(x + na) + nb`.
+            // `(x − a) − b` is bit-identical to the reference's
+            // `(x + (−a)) + (−b)`.
             c0[l] = (x0 + a) + b;
             c1[l] = (x1 - a) - b;
             d0[l] = (x0 - a) - b;
@@ -535,12 +464,12 @@ fn acs_step_lanes<const LANES: usize>(
     bits
 }
 
-/// The lane-batched soft Viterbi kernel: [`viterbi_decode_soft_scratch_scalar`]
-/// with the ACS inner loop restructured into fixed-width `[f64; LANES]`
-/// sub-lanes over SoA branch-metric planes (see [`acs_step_lanes`]).
-/// Decodes bit-identically to the scalar kernel — and therefore to
-/// [`reference::viterbi_decode_soft_with_metric`] — at every compiled
-/// width; only throughput varies.
+/// The lane-batched soft Viterbi kernel: the ACS inner loop runs in
+/// fixed-width `[f64; LANES]` sub-lanes over SoA branch-metric planes
+/// (see [`acs_step_lanes`]); `LANES = 1` is the unbatched formulation.
+/// Decodes bit-identically to the test oracle
+/// `reference::viterbi_decode_soft_with_metric` at every width; only
+/// throughput varies.
 // lint: hot-path
 pub fn viterbi_decode_soft_scratch_lanes<'s, const LANES: usize>(
     llrs: &[f64],
@@ -558,6 +487,9 @@ pub fn viterbi_decode_soft_scratch_lanes<'s, const LANES: usize>(
         return (&scratch.decoded, 0.0);
     }
     const INF: f64 = f64::MAX / 4.0;
+    // Two path-metric rows live on the stack (1 KiB total): fixed-size
+    // arrays let the compiler elide every bounds check in the ACS loop,
+    // and the rows "swap" by reference, never by copy.
     let mut row_a = [INF; NSTATES];
     row_a[0] = 0.0; // encoder starts in state 0
     let mut row_b = [INF; NSTATES];
@@ -579,8 +511,9 @@ pub fn viterbi_decode_soft_scratch_lanes<'s, const LANES: usize>(
 
 /// The original (pre-table-driven) soft-decision kernels, retained
 /// verbatim as the bit-exactness oracle the seeded property tests compare
-/// the optimised paths against.
-pub mod reference {
+/// the optimised paths against. Test-only: nothing ships through it.
+#[cfg(test)]
+mod reference {
     use super::{parity, CodeRate, G0, G1, NSTATES};
 
     /// Depunctures soft values back to the rate-1/2 lattice, marking
@@ -1014,15 +947,14 @@ mod soft_tests {
 
     #[test]
     fn lane_viterbi_matches_reference_at_every_width() {
-        // Bit-identity pin for the lane-batched ACS kernel: every compiled
-        // lane width, the retained scalar kernel, and the dispatching
-        // entry point must decode seeded random LLR streams to the exact
-        // bits AND the exact (to_bits) path metric of the reference
-        // decoder — at every code rate, including the all-tie stream
-        // (every LLR zero, where the strict `<` even-predecessor tie
-        // break is the only thing separating paths) and saturated LLRs
-        // large enough to drive metrics near the INF sentinel without
-        // absorbing into it.
+        // Bit-identity pin for the lane-batched ACS kernel: every swept
+        // lane width (1, 2, 4, 8) and the dispatching entry point must
+        // decode seeded random LLR streams to the exact bits AND the
+        // exact (to_bits) path metric of the reference decoder — at
+        // every code rate, including the all-tie stream (every LLR zero,
+        // where the strict `<` even-predecessor tie break is the only
+        // thing separating paths) and saturated LLRs large enough to
+        // drive metrics near the INF sentinel without absorbing into it.
         let mut scratch = ViterbiScratch::new();
         let make_stream = |case: usize, rng: &mut Rng64, n: usize| -> Vec<f64> {
             match case {
@@ -1041,7 +973,7 @@ mod soft_tests {
                     let llrs = make_stream(case, &mut rng, n);
                     let (expect_bits, expect_metric) =
                         reference::viterbi_decode_soft_with_metric(&llrs, rate);
-                    let mut check = |got_bits: &[u8], got_metric: f64, who: &str| {
+                    let check = |got_bits: &[u8], got_metric: f64, who: &str| {
                         assert_eq!(
                             got_bits,
                             &expect_bits[..],
@@ -1053,9 +985,9 @@ mod soft_tests {
                             "{who} {rate:?} case={case} trial={trial}"
                         );
                     };
-                    let (b, m) = viterbi_decode_soft_scratch_scalar(&llrs, rate, &mut scratch);
+                    let (b, m) = viterbi_decode_soft_scratch_lanes::<1>(&llrs, rate, &mut scratch);
                     let (b, m) = (b.to_vec(), m);
-                    check(&b, m, "scalar");
+                    check(&b, m, "lanes_1");
                     let (b, m) = viterbi_decode_soft_scratch_lanes::<2>(&llrs, rate, &mut scratch);
                     let (b, m) = (b.to_vec(), m);
                     check(&b, m, "lanes_2");

@@ -223,7 +223,7 @@ impl Interleaver {
     /// (interleaved) symbol lands at position `inverse_map()[j]` of the
     /// deinterleaved symbol. Exposed so demappers can fuse the scatter
     /// into LLR production instead of round-tripping a separate pass
-    /// (see `freerider-wifi`'s batched demap). Always a permutation of
+    /// (see `freerider-wifi`'s fused demap). Always a permutation of
     /// `0..block_size()`.
     pub fn inverse_map(&self) -> &[usize] {
         &self.inv

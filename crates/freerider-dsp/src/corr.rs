@@ -42,73 +42,27 @@ pub fn normalized_correlation(signal: &[Complex], reference: &[Complex]) -> Vec<
 /// first), for allocation-free receive loops. Values are identical.
 ///
 /// Dispatches to the lane-batched kernel at the measured default width
-/// ([`DEFAULT_CORR_LANES`]); the scalar formulation is retained as
-/// [`normalized_correlation_scalar_into`] for A/B benchmarking. Every
-/// compiled width produces bit-identical output (see
-/// `lane_correlation_is_bit_identical`).
+/// ([`DEFAULT_CORR_LANES`]). Every width produces output bit-identical to
+/// the scalar oracle in the tests (see `lane_correlation_is_bit_identical`).
 // lint: hot-path
 #[inline]
 pub fn normalized_correlation_into(signal: &[Complex], reference: &[Complex], out: &mut Vec<f64>) {
     normalized_correlation_lanes_into::<DEFAULT_CORR_LANES>(signal, reference, out);
 }
 
-/// Lane widths the workspace compiles [`normalized_correlation_lanes_into`]
-/// at; `bench-baseline --lanes` emits an A/B row per width.
-pub const CORR_LANE_WIDTHS: [usize; 3] = [2, 4, 8];
-
-/// The measured-fastest correlation lane width on the reference machine
-/// (see `benchmarks/latest.json` `lanes` section and DESIGN §11).
+/// The measured-fastest correlation lane width of the `bench-baseline`
+/// sweep over widths 1, 2, 4 and 8 (see its `lanes` section and
+/// DESIGN §11).
 pub const DEFAULT_CORR_LANES: usize = 8;
-
-/// The scalar (pre-lane) normalised-correlation kernel, retained verbatim
-/// as the A/B comparator for the lane-batched rewrite.
-// lint: hot-path
-pub fn normalized_correlation_scalar_into(
-    signal: &[Complex],
-    reference: &[Complex],
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    if reference.is_empty() || reference.len() > signal.len() {
-        return;
-    }
-    let n_out = signal.len() - reference.len() + 1;
-    out.reserve(n_out);
-    let r_energy: f64 = reference.iter().map(|z| z.norm_sqr()).sum();
-    if r_energy <= 0.0 {
-        out.resize(n_out, 0.0);
-        return;
-    }
-    // Running window energy for the signal.
-    let mut win_energy: f64 = signal[..reference.len()].iter().map(|z| z.norm_sqr()).sum();
-    for n in 0..n_out {
-        let mut acc = Complex::ZERO;
-        for (k, &r) in reference.iter().enumerate() {
-            acc += signal[n + k] * r.conj();
-        }
-        let denom = (win_energy * r_energy).sqrt();
-        out.push(if denom > 1e-30 {
-            acc.abs() / denom
-        } else {
-            0.0
-        });
-        if n + 1 < n_out {
-            win_energy += signal[n + reference.len()].norm_sqr() - signal[n].norm_sqr();
-            if win_energy < 0.0 {
-                win_energy = 0.0;
-            }
-        }
-    }
-}
 
 /// Lane-batched normalised correlation: `LANES` *output positions* advance
 /// together through the reference, each lane keeping its own accumulator
-/// in the scalar kernel's exact order (per-output accumulation is a serial
+/// in the scalar oracle's exact order (per-output accumulation is a serial
 /// reduction, so batching across outputs — not across taps — is the only
 /// axis that vectorises without reassociating sums). The complex MAC is
 /// expanded into re/im SoA arithmetic that mirrors `Complex`'s `Mul`/`Add`
 /// operation-for-operation (`x·(−y)` and `a − (−c)` are exact in IEEE), so
-/// every lane width is bit-identical to the scalar kernel.
+/// every lane width is bit-identical to the scalar oracle.
 ///
 /// The running window-energy chain is order-sensitive (`+=new − old` with
 /// a clamp), so it stays a scalar serial pass feeding each lane block.
@@ -308,13 +262,53 @@ mod tests {
         assert!(avg < 0.5, "noise metric {avg}");
     }
 
+    /// The scalar (pre-lane) normalised-correlation kernel, retained
+    /// verbatim as the bit-identity oracle for the lane-batched one.
+    fn normalized_correlation_scalar_into(
+        signal: &[Complex],
+        reference: &[Complex],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        if reference.is_empty() || reference.len() > signal.len() {
+            return;
+        }
+        let n_out = signal.len() - reference.len() + 1;
+        out.reserve(n_out);
+        let r_energy: f64 = reference.iter().map(|z| z.norm_sqr()).sum();
+        if r_energy <= 0.0 {
+            out.resize(n_out, 0.0);
+            return;
+        }
+        // Running window energy for the signal.
+        let mut win_energy: f64 = signal[..reference.len()].iter().map(|z| z.norm_sqr()).sum();
+        for n in 0..n_out {
+            let mut acc = Complex::ZERO;
+            for (k, &r) in reference.iter().enumerate() {
+                acc += signal[n + k] * r.conj();
+            }
+            let denom = (win_energy * r_energy).sqrt();
+            out.push(if denom > 1e-30 {
+                acc.abs() / denom
+            } else {
+                0.0
+            });
+            if n + 1 < n_out {
+                win_energy += signal[n + reference.len()].norm_sqr() - signal[n].norm_sqr();
+                if win_energy < 0.0 {
+                    win_energy = 0.0;
+                }
+            }
+        }
+    }
+
     #[test]
     fn lane_correlation_is_bit_identical() {
-        // Every compiled lane width (and the dispatching entry point) must
-        // produce to_bits-identical output to the scalar kernel — across
-        // signal lengths that exercise full lane blocks, scalar tails, a
-        // single output, empty/oversize references, and a zero-energy
-        // reference (the early-out path).
+        // Every swept lane width (1, 2, 4, 8) and the dispatching entry
+        // point must produce to_bits-identical output to the scalar
+        // oracle — across signal lengths that exercise full lane blocks,
+        // scalar tails, a single output, empty/oversize references, and a
+        // zero-energy reference (the early-out path).
         let noise = NoiseSource::new(77, 1.0).take(400);
         let refs: Vec<Vec<Complex>> = vec![
             chirp(32),
@@ -331,6 +325,8 @@ mod tests {
                 normalized_correlation_scalar_into(signal, reference, &mut expect);
                 let mut got = Vec::new();
                 let tag = |w: usize| format!("lanes={w} ref={} sig={sig_len}", reference.len());
+                normalized_correlation_lanes_into::<1>(signal, reference, &mut got);
+                assert!(bits_eq(&expect, &got), "{}", tag(1));
                 normalized_correlation_lanes_into::<2>(signal, reference, &mut got);
                 assert!(bits_eq(&expect, &got), "{}", tag(2));
                 normalized_correlation_lanes_into::<4>(signal, reference, &mut got);

@@ -1,10 +1,12 @@
 //! Iterative radix-2 FFT / IFFT.
 //!
-//! The OFDM modem in `freerider-wifi` runs a 64-point transform per symbol;
-//! this implementation supports any power-of-two size. It follows the
-//! classic Cooley–Tukey decimation-in-time structure with an explicit
-//! bit-reversal permutation, which is simple, allocation-free (in place), and
-//! fast enough to simulate multi-megasample packets in the benches.
+//! The OFDM modem in `freerider-wifi` runs a 64-point transform per symbol
+//! through [`fft64`]/[`ifft64`], a fixed network over cached twiddles;
+//! [`fft`]/[`ifft`] are the any-power-of-two direct transform the 64-point
+//! path is pinned against, bit for bit. Both follow the classic
+//! Cooley–Tukey decimation-in-time structure with an explicit bit-reversal
+//! permutation, which is simple, allocation-free (in place), and fast
+//! enough to simulate multi-megasample packets in the benches.
 //!
 //! Conventions: [`fft`] computes the *unnormalised* forward DFT
 //! `X[k] = Σ_n x[n]·e^{-j2πkn/N}`; [`ifft`] computes the inverse with a
@@ -23,13 +25,6 @@ const BUTTERFLIES: &str = "fft.butterflies";
 pub enum FftError {
     /// Input length is not a power of two (or is zero).
     NotPowerOfTwo(usize),
-    /// Input length does not match the plan it was handed to.
-    LengthMismatch {
-        /// The transform size the plan was built for.
-        plan: usize,
-        /// The length of the buffer that was passed.
-        data: usize,
-    },
 }
 
 impl std::fmt::Display for FftError {
@@ -37,9 +32,6 @@ impl std::fmt::Display for FftError {
         match self {
             FftError::NotPowerOfTwo(n) => {
                 write!(f, "FFT length {n} is not a nonzero power of two")
-            }
-            FftError::LengthMismatch { plan, data } => {
-                write!(f, "buffer of length {data} passed to a {plan}-point plan")
             }
         }
     }
@@ -106,197 +98,95 @@ pub fn fft_shift(data: &mut [Complex]) {
     data.rotate_left(n / 2);
 }
 
-/// A precomputed transform plan: cached twiddle-factor tables and the
-/// bit-reversal permutation for one power-of-two size.
+/// The cached twiddle tables of the 64-point network behind
+/// [`fft64`]/[`ifft64`], built once.
 ///
 /// [`fft`]/[`ifft`] re-derive every twiddle factor with `Complex::cis`
-/// trig on each call; a plan hoists that work to construction time so the
-/// per-call cost is pure multiply–adds. The tables are generated with the
-/// **same** `w *= wlen` recurrence the direct transform uses (not closed
-/// form `cis(2πk/N)` calls), so a planned transform is *bit-identical* to
-/// the direct one — the property `planned_transform_is_bit_identical`
-/// pins and the receiver's determinism guarantees rely on.
-#[derive(Debug, Clone)]
-pub struct FftPlan {
-    n: usize,
-    /// Bit-reversal swap pairs `(i, j)` with `j > i`, in ascending-`i`
-    /// order (the order the direct transform applies them).
-    swaps: Vec<(u32, u32)>,
-    /// Forward twiddles, stages concatenated: `len = 2, 4, …, n`, each
+/// trig on each call; the table hoists that work to first use so the
+/// per-call cost is pure multiply–adds. The twiddles are generated with
+/// the **same** `w *= wlen` recurrence the direct transform uses (not
+/// closed form `cis(2πk/N)` calls), so the 64-point path is
+/// *bit-identical* to the direct one — the property
+/// `specialized_64_path_is_bit_identical` pins and the receiver's
+/// determinism guarantees rely on.
+struct Table64 {
+    /// Forward twiddles, stages concatenated: `len = 2, 4, …, 64`, each
     /// stage contributing `len/2` factors.
-    fwd: Vec<Complex>,
+    fwd: [Complex; 63],
     /// Inverse twiddles, same layout.
-    inv: Vec<Complex>,
+    inv: [Complex; 63],
 }
 
-impl FftPlan {
-    /// Builds a plan for an `n`-point transform (`n` a nonzero power of
-    /// two).
-    pub fn new(n: usize) -> Result<FftPlan, FftError> {
-        if n == 0 || !n.is_power_of_two() {
-            return Err(FftError::NotPowerOfTwo(n));
+/// Bit-reversal swap pairs `(i, j)` with `j > i`, in ascending-`i` order
+/// (the order the direct transform applies them). Of the 64 six-bit
+/// indices, 8 are palindromes; the other 56 pair up into 28 swaps.
+const SWAPS64: [(u8, u8); 28] = {
+    let mut out = [(0u8, 0u8); 28];
+    let (mut i, mut n) = (0u8, 0);
+    while i < 64 {
+        let j = i.reverse_bits() >> 2;
+        if j > i {
+            out[n] = (i, j);
+            n += 1;
         }
-        let bits = n.trailing_zeros();
-        let mut swaps = Vec::new();
-        for i in 0..n {
-            let j = i.reverse_bits() >> (usize::BITS - bits);
-            if j > i {
-                swaps.push((i as u32, j as u32));
-            }
-        }
-        let table = |sign: f64| -> Vec<Complex> {
-            let mut t = Vec::with_capacity(n - 1);
+        i += 1;
+    }
+    out
+};
+
+fn table64() -> &'static Table64 {
+    static TABLE: OnceLock<Table64> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let table = |sign: f64| {
+            let mut t = [Complex::ZERO; 63];
+            let mut off = 0;
             let mut len = 2;
-            while len <= n {
+            while len <= 64 {
                 // Identical recurrence to `transform` — the k-th entry is
                 // the k-fold product, not a fresh `cis` evaluation.
-                let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-                let wlen = Complex::cis(ang);
+                let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
                 let mut w = Complex::ONE;
-                for _ in 0..len / 2 {
-                    t.push(w);
+                for slot in &mut t[off..off + len / 2] {
+                    *slot = w;
                     w *= wlen;
                 }
+                off += len / 2;
                 len <<= 1;
             }
             t
         };
-        Ok(FftPlan {
-            n,
-            swaps,
+        Table64 {
             fwd: table(-1.0),
             inv: table(1.0),
-        })
-    }
-
-    /// The transform size this plan serves.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan is for a zero-point transform (never true; present
-    /// for the `len`/`is_empty` API convention).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// In-place forward FFT through the plan's cached tables.
-    pub fn fft(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        if data.len() != self.n {
-            return Err(FftError::LengthMismatch {
-                plan: self.n,
-                data: data.len(),
-            });
         }
-        self.process(data, &self.fwd);
-        Ok(())
-    }
+    })
+}
 
-    /// In-place inverse FFT with `1/N` normalisation through the plan.
-    pub fn ifft(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        if data.len() != self.n {
-            return Err(FftError::LengthMismatch {
-                plan: self.n,
-                data: data.len(),
-            });
-        }
-        self.process(data, &self.inv);
-        let n = data.len() as f64;
-        for x in data.iter_mut() {
-            *x = *x / n;
-        }
-        Ok(())
-    }
+/// The 64-point butterfly network (the OFDM symbol size): the arithmetic
+/// of [`transform`], but with each of the six stages monomorphised at a
+/// compile-time span length, so every loop bound, twiddle offset, and
+/// butterfly index is a constant the optimiser unrolls and vectorises
+/// without bounds checks.
+fn process64(data: &mut [Complex; 64], table: &[Complex; 63]) {
+    profile::work(BUTTERFLIES, 192); // 64/2 · log₂ 64
 
-    fn process(&self, data: &mut [Complex], table: &[Complex]) {
-        profile::work(
-            BUTTERFLIES,
-            (self.n as u64 / 2) * self.n.trailing_zeros() as u64,
-        );
-        for &(i, j) in &self.swaps {
-            data.swap(i as usize, j as usize);
-        }
-        let n = self.n;
-        let mut len = 2;
-        let mut off = 0;
-        while len <= n {
-            let half = len / 2;
-            let tw = &table[off..off + half];
-            let mut i = 0;
-            while i < n {
-                for (k, &w) in tw.iter().enumerate() {
-                    let u = data[i + k];
-                    let v = data[i + k + half] * w;
-                    data[i + k] = u + v;
-                    data[i + k + half] = u - v;
-                }
-                i += len;
-            }
-            off += half;
-            len <<= 1;
-        }
+    for &(i, j) in &SWAPS64 {
+        data.swap(i as usize, j as usize);
     }
-
-    /// Forward-transforms a packed batch of symbols in place: `data` holds
-    /// `data.len() / n` back-to-back `n`-point blocks, each transformed
-    /// independently. One entry call amortises the plan/table lookup over
-    /// a whole packet's OFDM symbols and strides cache-linearly through
-    /// the batch; each block goes through the same butterfly network as a
-    /// single [`FftPlan::fft`] call (the 64-point batch uses the
-    /// specialised fixed-size path), so the batch is *bit-identical* to
-    /// per-symbol transforms — `batch_transform_is_bit_identical` pins it.
-    ///
-    /// Errors if `data.len()` is not a multiple of the plan size (zero
-    /// blocks is fine and a no-op).
-    // lint: hot-path
-    pub fn run_batch(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        if !data.len().is_multiple_of(self.n) {
-            return Err(FftError::LengthMismatch {
-                plan: self.n,
-                data: data.len(),
-            });
-        }
-        if self.n == 64 {
-            for chunk in data.chunks_exact_mut(64) {
-                // lint: allow(panic) — chunks_exact_mut yields exactly 64
-                let block: &mut [Complex; 64] = chunk.try_into().expect("64-sample chunk");
-                self.process64(block, &self.fwd);
-            }
-        } else {
-            for chunk in data.chunks_exact_mut(self.n) {
-                self.process(chunk, &self.fwd);
-            }
-        }
-        Ok(())
-    }
-
-    /// The specialized 64-point butterfly network (the OFDM symbol size):
-    /// identical arithmetic to [`FftPlan::process`], but with each of the
-    /// six stages monomorphised at a compile-time span length, so every
-    /// loop bound, twiddle offset, and butterfly index is a constant the
-    /// optimiser unrolls and vectorises without bounds checks.
-    fn process64(&self, data: &mut [Complex; 64], table: &[Complex]) {
-        debug_assert_eq!(self.n, 64);
-        profile::work(BUTTERFLIES, 192); // 64/2 · log₂ 64
-
-        for &(i, j) in &self.swaps {
-            data.swap(i as usize, j as usize);
-        }
-        // Twiddle offsets are the radix-2 prefix sums 0,1,3,7,15,31; each
-        // stage runs the same `(u, v·w)` butterflies in the same order as
-        // the generic loop above, so the transform stays bit-identical.
-        stage64::<2>(data, &table[0..1]);
-        stage64::<4>(data, &table[1..3]);
-        stage64::<8>(data, &table[3..7]);
-        stage64::<16>(data, &table[7..15]);
-        stage64::<32>(data, &table[15..31]);
-        stage64::<64>(data, &table[31..63]);
-    }
+    // Twiddle offsets are the radix-2 prefix sums 0,1,3,7,15,31; each
+    // stage runs the same `(u, v·w)` butterflies in the same order as
+    // the direct transform, so the result stays bit-identical.
+    stage64::<2>(data, &table[0..1]);
+    stage64::<4>(data, &table[1..3]);
+    stage64::<8>(data, &table[3..7]);
+    stage64::<16>(data, &table[7..15]);
+    stage64::<32>(data, &table[15..31]);
+    stage64::<64>(data, &table[31..63]);
 }
 
 /// One radix-2 stage of the 64-point network at compile-time span length
 /// `LEN`: for each span, the first half combines with the twiddled second
-/// half exactly as [`FftPlan::process`]'s inner loop does.
+/// half exactly as [`transform`]'s inner loop does.
 // lint: hot-path
 #[inline(always)]
 fn stage64<const LEN: usize>(data: &mut [Complex; 64], tw: &[Complex]) {
@@ -316,28 +206,18 @@ fn stage64<const LEN: usize>(data: &mut [Complex; 64], tw: &[Complex]) {
     }
 }
 
-/// The process-wide shared 64-point plan — the OFDM symbol size every
-/// modem in the workspace transforms at. Built once, reused everywhere.
-pub fn plan64() -> &'static FftPlan {
-    static PLAN: OnceLock<FftPlan> = OnceLock::new();
-    // lint: allow(panic) — 64 is a power of two; construction cannot fail
-    PLAN.get_or_init(|| FftPlan::new(64).expect("64 is a power of two"))
-}
-
-/// In-place forward 64-point FFT through the shared plan. Infallible: the
-/// array type carries the length proof.
+/// In-place forward 64-point FFT through the cached table. Infallible:
+/// the array type carries the length proof.
 #[inline]
 pub fn fft64(data: &mut [Complex; 64]) {
-    let plan = plan64();
-    plan.process64(data, &plan.fwd);
+    process64(data, &table64().fwd);
 }
 
 /// In-place inverse 64-point FFT (with `1/64` normalisation) through the
-/// shared plan.
+/// cached table.
 #[inline]
 pub fn ifft64(data: &mut [Complex; 64]) {
-    let plan = plan64();
-    plan.process64(data, &plan.inv);
+    process64(data, &table64().inv);
     for x in data.iter_mut() {
         *x = *x / 64.0;
     }
@@ -439,54 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_rejects_bad_sizes() {
-        assert_eq!(FftPlan::new(0).unwrap_err(), FftError::NotPowerOfTwo(0));
-        assert_eq!(FftPlan::new(48).unwrap_err(), FftError::NotPowerOfTwo(48));
-        let plan = FftPlan::new(16).unwrap();
-        assert_eq!(plan.len(), 16);
-        assert!(!plan.is_empty());
-        let mut v = vec![Complex::ZERO; 8];
-        assert_eq!(
-            plan.fft(&mut v),
-            Err(FftError::LengthMismatch { plan: 16, data: 8 })
-        );
-        assert_eq!(
-            plan.ifft(&mut v),
-            Err(FftError::LengthMismatch { plan: 16, data: 8 })
-        );
-    }
-
-    // The property the whole kernel overhaul rests on: a planned transform
-    // is not merely close to the direct one, it is the *same sequence of
-    // floating-point operations* and therefore bit-identical. Seeded
-    // random inputs across every size the workspace uses.
-    #[test]
-    fn planned_transform_is_bit_identical() {
-        for n in [2usize, 4, 8, 64, 128, 1024] {
-            let plan = FftPlan::new(n).unwrap();
-            for seed in 0..8u64 {
-                let orig = random_signal(n, 0xF0F0 + seed * 131 + n as u64);
-                let mut direct = orig.clone();
-                let mut planned = orig.clone();
-                fft(&mut direct).unwrap();
-                plan.fft(&mut planned).unwrap();
-                for (a, b) in direct.iter().zip(&planned) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "fft n={n} seed={seed}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "fft n={n} seed={seed}");
-                }
-                let mut direct = orig.clone();
-                let mut planned = orig.clone();
-                ifft(&mut direct).unwrap();
-                plan.ifft(&mut planned).unwrap();
-                for (a, b) in direct.iter().zip(&planned) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "ifft n={n} seed={seed}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "ifft n={n} seed={seed}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn specialized_64_path_is_bit_identical() {
         for seed in 0..16u64 {
             let orig = random_signal(64, 0xBEEF + seed);
@@ -508,45 +340,6 @@ mod tests {
                 assert_eq!(a.re.to_bits(), b.re.to_bits(), "ifft64 seed={seed}");
                 assert_eq!(a.im.to_bits(), b.im.to_bits(), "ifft64 seed={seed}");
             }
-        }
-    }
-
-    #[test]
-    fn batch_transform_is_bit_identical() {
-        // A batch of packed symbols must transform exactly as per-symbol
-        // calls would — for the specialised 64-point path and the generic
-        // one — and reject non-multiple lengths.
-        for n in [16usize, 64] {
-            let plan = FftPlan::new(n).unwrap();
-            for n_blocks in [0usize, 1, 5] {
-                let orig = random_signal(n * n_blocks, 0xBA7C + (n * 31 + n_blocks) as u64);
-                let mut batch = orig.clone();
-                plan.run_batch(&mut batch).unwrap();
-                let mut single = orig.clone();
-                for chunk in single.chunks_exact_mut(n) {
-                    plan.fft(chunk).unwrap();
-                }
-                for (i, (a, b)) in batch.iter().zip(&single).enumerate() {
-                    assert_eq!(
-                        a.re.to_bits(),
-                        b.re.to_bits(),
-                        "n={n} blocks={n_blocks} i={i}"
-                    );
-                    assert_eq!(
-                        a.im.to_bits(),
-                        b.im.to_bits(),
-                        "n={n} blocks={n_blocks} i={i}"
-                    );
-                }
-            }
-            let mut bad = vec![Complex::ZERO; n + 1];
-            assert_eq!(
-                plan.run_batch(&mut bad),
-                Err(FftError::LengthMismatch {
-                    plan: n,
-                    data: n + 1
-                })
-            );
         }
     }
 

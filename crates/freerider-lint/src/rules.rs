@@ -274,15 +274,7 @@ const BENCH_CRATE: &str = "freerider-bench";
 pub const HOT_PATHS: &[(&str, &[&str])] = &[
     (
         "crates/freerider-dsp/src/fft.rs",
-        &[
-            "transform",
-            "FftPlan::fft",
-            "FftPlan::ifft",
-            "FftPlan::process",
-            "FftPlan::process64",
-            "fft64",
-            "ifft64",
-        ],
+        &["transform", "process64", "fft64", "ifft64"],
     ),
     (
         "crates/freerider-dsp/src/corr.rs",

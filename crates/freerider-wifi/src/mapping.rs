@@ -285,83 +285,15 @@ pub fn soft_demap_symbols_into(
     }
 }
 
-/// Batched soft demapping over a whole packet's worth of equalised OFDM
-/// symbols in one call: the modulation `match` hoists out of the loop, the
-/// output reserves once for all `n_sym · 48 · bpsc` LLRs, and each
-/// modulation's body is a straight element-wise sweep the autovectoriser
-/// handles. Per-LLR arithmetic is exactly [`soft_demap_symbols_into`]'s —
-/// the batch output equals the per-symbol outputs concatenated, value for
-/// value (`batch_demap_is_bit_identical` pins it).
-// lint: hot-path
-pub fn soft_demap_batch_into(
-    symbols: &[[Complex; crate::N_DATA_CARRIERS]],
-    gains: &[f64],
-    modulation: Modulation,
-    llrs: &mut Vec<f64>,
-) {
-    assert_eq!(
-        gains.len(),
-        crate::N_DATA_CARRIERS,
-        "one gain per subcarrier"
-    );
-    llrs.clear();
-    llrs.reserve(symbols.len() * crate::N_DATA_CARRIERS * modulation.bits_per_subcarrier());
-    match modulation {
-        Modulation::Bpsk => {
-            for sym in symbols {
-                for (&s, &g) in sym.iter().zip(gains.iter()) {
-                    let g = g.max(0.0);
-                    llrs.push(s.re * g);
-                }
-            }
-        }
-        Modulation::Qpsk => {
-            for sym in symbols {
-                for (&s, &g) in sym.iter().zip(gains.iter()) {
-                    let g = g.max(0.0);
-                    llrs.push(s.re * g / KMOD_QPSK);
-                    llrs.push(s.im * g / KMOD_QPSK);
-                }
-            }
-        }
-        Modulation::Qam16 => {
-            for sym in symbols {
-                for (&s, &g) in sym.iter().zip(gains.iter()) {
-                    let g = g.max(0.0);
-                    let x = s.re / KMOD_16;
-                    let y = s.im / KMOD_16;
-                    llrs.push(x * g);
-                    llrs.push((2.0 - x.abs()) * g);
-                    llrs.push(y * g);
-                    llrs.push((2.0 - y.abs()) * g);
-                }
-            }
-        }
-        Modulation::Qam64 => {
-            for sym in symbols {
-                for (&s, &g) in sym.iter().zip(gains.iter()) {
-                    let g = g.max(0.0);
-                    let x = s.re / KMOD_64;
-                    let y = s.im / KMOD_64;
-                    llrs.push(x * g);
-                    llrs.push((4.0 - x.abs()) * g);
-                    llrs.push((2.0 - (x.abs() - 4.0).abs()) * g);
-                    llrs.push(y * g);
-                    llrs.push((4.0 - y.abs()) * g);
-                    llrs.push((2.0 - (y.abs() - 4.0).abs()) * g);
-                }
-            }
-        }
-    }
-}
-
-/// [`soft_demap_batch_into`] with the per-symbol deinterleave scatter
-/// fused in: LLR `j` of symbol `n` is written straight to
-/// `out[n·N_CBPS + inv[j]]` instead of round-tripping an interleaved LLR
-/// plane through memory and scattering it in a second pass. `inv` is the
-/// deinterleaver's scatter map ([`Interleaver::inverse_map`]); since the
-/// fusion only changes *placement*, every LLR value is bit-identical to
-/// the unfused demap-then-deinterleave pipeline
+/// Soft demapping of a whole packet's equalised OFDM symbols with the
+/// per-symbol deinterleave scatter fused in: the modulation `match`
+/// hoists out of the loop, and LLR `j` of symbol `n` is written straight
+/// to `out[n·N_CBPS + inv[j]]` instead of round-tripping an interleaved
+/// LLR plane through memory and scattering it in a second pass. `inv` is
+/// the deinterleaver's scatter map ([`Interleaver::inverse_map`]). Per-LLR
+/// arithmetic is exactly [`soft_demap_symbols_into`]'s and the fusion only
+/// changes *placement*, so every LLR value is bit-identical to the
+/// per-symbol demap-then-deinterleave pipeline the SIGNAL field runs
 /// (`fused_demap_deinterleave_is_bit_identical` pins it).
 ///
 /// `out` is cleared and resized to `symbols.len() · N_CBPS`; `inv` being a
@@ -474,54 +406,11 @@ mod soft_tests {
     }
 
     #[test]
-    fn batch_demap_is_bit_identical() {
-        // The batched demapper must equal the per-symbol demapper outputs
-        // concatenated, bit for bit, at every modulation — including
-        // negative gains (clamped) and zero points.
-        let mut rng = Rng64::new(0xDE3A);
-        for m in [
-            Modulation::Bpsk,
-            Modulation::Qpsk,
-            Modulation::Qam16,
-            Modulation::Qam64,
-        ] {
-            for n_sym in [0usize, 1, 3, 17] {
-                let mut gains = [0.0f64; crate::N_DATA_CARRIERS];
-                for g in gains.iter_mut() {
-                    *g = rng.gauss(); // negatives exercise the clamp
-                }
-                let symbols: Vec<[Complex; crate::N_DATA_CARRIERS]> = (0..n_sym)
-                    .map(|_| {
-                        let mut sym = [Complex::ZERO; crate::N_DATA_CARRIERS];
-                        for z in sym.iter_mut() {
-                            *z = Complex::new(rng.gauss(), rng.gauss());
-                        }
-                        sym[0] = Complex::ZERO;
-                        sym
-                    })
-                    .collect();
-                let mut batch = Vec::new();
-                soft_demap_batch_into(&symbols, &gains, m, &mut batch);
-                let mut per_symbol = Vec::new();
-                let mut one = Vec::new();
-                for sym in &symbols {
-                    soft_demap_symbols_into(sym, &gains, m, &mut one);
-                    per_symbol.extend_from_slice(&one);
-                }
-                assert_eq!(batch.len(), per_symbol.len(), "{m:?} n_sym={n_sym}");
-                for (i, (a, b)) in batch.iter().zip(&per_symbol).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{m:?} n_sym={n_sym} llr={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fused_demap_deinterleave_is_bit_identical() {
-        // The fused scatter demapper must equal the two-pass pipeline
-        // (batch demap, then per-symbol deinterleave) value for value at
-        // every modulation: fusing only relocates writes, so each LLR's
-        // bits are untouched.
+        // The fused scatter demapper must equal the per-symbol pipeline
+        // the SIGNAL field ships (demap, then deinterleave) value for
+        // value at every modulation — including negative gains (clamped):
+        // fusing only relocates writes, so each LLR's bits are untouched.
         use freerider_coding::interleaver::Interleaver;
         let mut rng = Rng64::new(0xF05E);
         for m in [
@@ -556,13 +445,10 @@ mod soft_tests {
                     &mut fused,
                 );
                 let mut interleaved = Vec::new();
-                soft_demap_batch_into(&symbols, &gains, m, &mut interleaved);
                 let mut two_pass = vec![0.0f64; n_sym * n_cbps];
-                for n in 0..n_sym {
-                    il.deinterleave_symbol_soft_into(
-                        &interleaved[n * n_cbps..(n + 1) * n_cbps],
-                        &mut two_pass[n * n_cbps..(n + 1) * n_cbps],
-                    );
+                for (sym, dst) in symbols.iter().zip(two_pass.chunks_exact_mut(n_cbps)) {
+                    soft_demap_symbols_into(sym, &gains, m, &mut interleaved);
+                    il.deinterleave_symbol_soft_into(&interleaved, dst);
                 }
                 assert_eq!(fused.len(), two_pass.len(), "{m:?} n_sym={n_sym}");
                 for (i, (a, b)) in fused.iter().zip(&two_pass).enumerate() {

@@ -176,7 +176,7 @@ pub struct RxScratch {
     /// Per-data-carrier channel power gains.
     gains: Vec<f64>,
     /// Packed CP-stripped DATA symbols (`n_sym × 64`), transformed to the
-    /// frequency domain in place by one batch FFT call.
+    /// frequency domain in place, one `fft64` per 64-sample block.
     sym_freq: Vec<Complex>,
     /// Raw equalised DATA points, SoA real plane, carrier-major
     /// (`[i·n_sym + n]`): each carrier's channel inverse is hoisted once
@@ -695,7 +695,7 @@ impl Receiver {
         telemetry::count("wifi.rx.signal.ok");
         drop(signal_stage);
 
-        // --- DATA symbols: batch FFT → SoA equalise → batched demap. ---
+        // --- DATA symbols: packed FFT → SoA equalise → fused demap. ---
         let rate = signal.rate;
         let n_sym = rate.data_symbols_for(signal.length);
         if avail - 2 * FFT_SIZE < SYMBOL_LEN * (1 + n_sym) {
@@ -712,10 +712,9 @@ impl Receiver {
         telemetry::count_n("wifi.rx.equalize.symbols", n_sym as u64);
         telemetry::count_n("wifi.rx.fft.symbols", n_sym as u64);
         profile::work("equalize.subcarriers", (n_sym * N_DATA_CARRIERS) as u64);
-        // Stage 1 — batch FFT: CFO-correct and pack every CP-stripped
-        // symbol window, then transform the whole DATA field in one
-        // planned batch call (the same 64-point butterfly network per
-        // symbol as `fft64`). The CFO correction is folded into the pack:
+        // Stage 1 — FFT: CFO-correct and pack every CP-stripped symbol
+        // window, then transform each 64-sample block in place with
+        // `fft64`. The CFO correction is folded into the pack:
         // each corrected sample depends only on its own absolute index, so
         // computing `x · e^{-j2πf·idx}` here yields bit-identical values
         // to the eager whole-buffer pass — while skipping `Complex::cis`
@@ -734,10 +733,9 @@ impl Receiver {
                     }),
             );
         }
-        freerider_dsp::fft::plan64()
-            .run_batch(&mut scratch.sym_freq)
-            // lint: allow(panic) — the batch length is n_sym·64 by construction
-            .expect("batch length is a multiple of 64");
+        for block in scratch.sym_freq.as_chunks_mut::<FFT_SIZE>().0 {
+            freerider_dsp::fft::fft64(block);
+        }
         // Stage 2 — SoA equalise: hoist each data carrier's channel inverse
         // once and sweep it across all symbols into carrier-major re/im
         // planes. Per-point arithmetic expands `carriers.data[i] / h[bin]`
@@ -897,7 +895,7 @@ impl Receiver {
             }
             scratch.packet.equalized.push(arr);
         }
-        // Stage 4 — batched demap with the deinterleave scatter fused in:
+        // Stage 4 — demap with the deinterleave scatter fused in:
         // each LLR is written straight to its deinterleaved slot, skipping
         // the interleaved-plane round trip (placement-only, bit-identical).
         profile::work("demap.symbols", n_sym as u64);

@@ -5,13 +5,14 @@
     python3 scripts/bench_diff.py --assert-lanes <new.json>
     python3 scripts/bench_diff.py --selftest
 
-`--assert-lanes` audits the lane-width A/B evidence instead of diffing:
-the document must carry a `lanes` section, every advertised width must
-have its measured `scalar`/`lanes_N` kernel row, and each compiled-in
-`selected` default must be the measured winner of its sweep (within a
-noise slack, default 10% -- override with FREERIDER_LANE_SLACK). This is
-how verify.sh keeps `DEFAULT_VITERBI_LANES`/`DEFAULT_CORR_LANES` honest:
-a default that loses its own committed A/B sweep fails CI.
+`--assert-lanes` audits the lane-width sweep evidence instead of diffing:
+the document must carry a `lanes` section, every advertised width
+(1 = the unbatched kernel) must have its measured `lanes_N` kernel row,
+and each compiled-in `selected` default must be the measured winner of
+its sweep (within a noise slack, default 10% -- override with
+FREERIDER_LANE_SLACK). This is how verify.sh keeps
+`DEFAULT_VITERBI_LANES`/`DEFAULT_CORR_LANES` honest: a default that loses
+its own sweep fails CI.
 
 Compares kernel median times, per-profile-stage p50 times, and
 per-experiment wall-clock between two `freerider-bench/1` documents. A
@@ -99,22 +100,18 @@ def diff(old, new, threshold, warn_only):
 
 
 # Lane-sweep groups: `lanes` section key -> kernel row prefix. Each group's
-# A/B rows are `<prefix>/scalar` and `<prefix>/lanes_<N>` for every
-# advertised width.
+# sweep rows are `<prefix>/lanes_<N>` for every advertised width.
 LANE_GROUPS = {"viterbi": "coding/viterbi", "corr": "dsp/ltf_corr"}
 
 
 def assert_lanes(doc, slack):
-    """Returns (exit code, lines): every lane A/B row present and each
-    `selected` default within `slack` percent of its sweep's winner
-    (the scalar comparator competes too -- a lane default that loses to
-    scalar is also wrong)."""
+    """Returns (exit code, lines): every sweep row present and each
+    `selected` default within `slack` percent of its sweep's winner."""
     lines = []
     failures = 0
     lanes = doc.get("lanes")
     if not lanes:
-        return 1, ["bench_diff: no `lanes` section "
-                   "(run bench-baseline with --lanes all)"]
+        return 1, ["bench_diff: no `lanes` section"]
     kernels = doc.get("kernels", {})
     for group, prefix in sorted(LANE_GROUPS.items()):
         info = lanes.get(group)
@@ -126,10 +123,10 @@ def assert_lanes(doc, slack):
         selected = info.get("selected")
         rows = {}
         missing = 0
-        for label in ["scalar"] + [f"lanes_{w}" for w in widths]:
+        for label in [f"lanes_{w}" for w in widths]:
             k = kernels.get(f"{prefix}/{label}")
             if k is None:
-                lines.append(f"  lanes.{group}: A/B row {prefix}/{label} MISSING")
+                lines.append(f"  lanes.{group}: sweep row {prefix}/{label} MISSING")
                 missing += 1
             else:
                 rows[label] = k["median_ns"]
@@ -157,7 +154,7 @@ def assert_lanes(doc, slack):
         lines.append(f"bench_diff: --assert-lanes: {failures} failure(s)")
         return 1, lines
     lines.append("bench_diff: --assert-lanes OK"
-                 " (A/B rows present, defaults are measured winners)")
+                 " (sweep rows present, defaults are measured winners)")
     return 0, lines
 
 
@@ -222,24 +219,24 @@ def selftest():
         return 1
 
     # --assert-lanes: a document whose selected widths win their sweeps
-    # passes; a missing A/B row and a selected width that loses beyond
+    # passes; a missing sweep row and a selected width that loses beyond
     # the noise slack both fail.
     lanes_doc = {
         "schema": "freerider-bench/1",
         "git_sha": "selftest-lanes",
         "kernels": {
-            "coding/viterbi/scalar": {"median_ns": 100_000},
+            "coding/viterbi/lanes_1": {"median_ns": 45_000},
             "coding/viterbi/lanes_2": {"median_ns": 40_000},
             "coding/viterbi/lanes_4": {"median_ns": 70_000},
             "coding/viterbi/lanes_8": {"median_ns": 90_000},
-            "dsp/ltf_corr/scalar": {"median_ns": 80_000},
+            "dsp/ltf_corr/lanes_1": {"median_ns": 80_000},
             "dsp/ltf_corr/lanes_2": {"median_ns": 82_000},
             "dsp/ltf_corr/lanes_4": {"median_ns": 81_000},
             "dsp/ltf_corr/lanes_8": {"median_ns": 35_000},
         },
         "lanes": {
-            "viterbi": {"selected": 2, "widths": [2, 4, 8]},
-            "corr": {"selected": 8, "widths": [2, 4, 8]},
+            "viterbi": {"selected": 2, "widths": [1, 2, 4, 8]},
+            "corr": {"selected": 8, "widths": [1, 2, 4, 8]},
         },
     }
     code, _ = assert_lanes(lanes_doc, slack=10.0)
@@ -251,7 +248,16 @@ def selftest():
     del no_row["kernels"]["coding/viterbi/lanes_4"]
     code, lines = assert_lanes(no_row, slack=10.0)
     if code != 1 or not any("lanes_4 MISSING" in l for l in lines):
-        print("bench_diff selftest: FAIL -- missing A/B row not caught")
+        print("bench_diff selftest: FAIL -- missing sweep row not caught")
+        return 1
+
+    # The unbatched width competes like any other: a selected width that
+    # loses to lanes_1 beyond the slack fails.
+    unbatched_wins = json.loads(json.dumps(lanes_doc))
+    unbatched_wins["kernels"]["coding/viterbi/lanes_1"]["median_ns"] = 25_000
+    code, lines = assert_lanes(unbatched_wins, slack=10.0)
+    if code != 1 or not any("winner lanes_1" in l for l in lines):
+        print("bench_diff selftest: FAIL -- selected width losing to lanes_1 not caught")
         return 1
 
     loser = json.loads(json.dumps(lanes_doc))

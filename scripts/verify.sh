@@ -134,8 +134,8 @@ EOF
 echo "==> bench_diff selftest (per-stage regression gate gates)"
 python3 scripts/bench_diff.py --selftest
 
-echo "==> lane sweep smoke (A/B rows present, defaults are measured winners)"
-./target/release/bench-baseline --quick --lanes all \
+echo "==> lane sweep smoke (widths 1/2/4/8 present, defaults are measured winners)"
+./target/release/bench-baseline --quick \
     --out /tmp/freerider_bench_lanes.json >/dev/null
 # Quick-budget medians are noisier than the committed full run; the
 # sweeps separate their winners by ~2x, so a widened slack still catches
@@ -143,7 +143,7 @@ echo "==> lane sweep smoke (A/B rows present, defaults are measured winners)"
 FREERIDER_LANE_SLACK=25 python3 scripts/bench_diff.py \
     --assert-lanes /tmp/freerider_bench_lanes.json
 
-echo "==> planned-FFT selftest (bit-identical to reference)"
+echo "==> fft64 selftest (bit-identical to the direct transform)"
 ./target/release/bench-baseline --selftest-fft
 
 echo "==> freerider-serve smoke (ephemeral port, streamed job, clean shutdown)"

@@ -1,0 +1,138 @@
+//! Hostile IQ against every receive entry point: non-finite and
+//! overflowing samples (sprinkled through a valid packet and filling the
+//! whole buffer), empty buffers, and buffers cut mid-packet.
+//!
+//! Each call must return — `Ok` or a typed error — without panicking.
+//! A warm WiFi [`RxScratch`] that has seen all of it must still decode
+//! the next clean packet exactly as a fresh scratch does.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use freerider::dsp::Complex;
+
+/// The hostile sample values: NaN, ±∞, and a finite value whose square
+/// overflows to ∞ in every power computation.
+const HOSTILE: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+
+/// Named hostile variants of one clean waveform.
+fn hostile_buffers(clean: &[Complex]) -> Vec<(String, Vec<Complex>)> {
+    let mut out = vec![("empty".to_string(), Vec::new())];
+    for v in HOSTILE {
+        // The whole buffer, on one and on both rails.
+        out.push((
+            format!("all re={v}"),
+            vec![Complex::new(v, 0.0); clean.len()],
+        ));
+        out.push((
+            format!("all re=im={v}"),
+            vec![Complex::new(v, v); clean.len()],
+        ));
+        // Sprinkled through the packet: one sample in 97, so every
+        // stage (preamble, header, payload) sees some.
+        let mut sprinkled = clean.to_vec();
+        for z in sprinkled.iter_mut().step_by(97) {
+            *z = Complex::new(v, -v);
+        }
+        out.push((format!("sprinkled {v}"), sprinkled));
+        // A single hostile sample in an otherwise clean packet.
+        let mut one = clean.to_vec();
+        one[clean.len() / 2] = Complex::new(v, 0.0);
+        out.push((format!("one {v}"), one));
+    }
+    for frac in [1, 3, 5, 7, 9] {
+        let cut = clean.len() * frac / 10;
+        out.push((format!("truncated at {cut}"), clean[..cut].to_vec()));
+    }
+    out
+}
+
+/// Runs `f` on every hostile variant; returns the labels that panicked.
+fn panicking_cases(
+    buffers: &[(String, Vec<Complex>)],
+    mut f: impl FnMut(&[Complex]),
+) -> Vec<String> {
+    buffers
+        .iter()
+        .filter(|(_, buf)| catch_unwind(AssertUnwindSafe(|| f(buf))).is_err())
+        .map(|(label, _)| label.clone())
+        .collect()
+}
+
+#[test]
+fn wifi_receivers_survive_hostile_iq() {
+    use freerider::wifi::{Receiver, RxConfig, RxScratch, Transmitter, TxConfig};
+    let tx = Transmitter::new(TxConfig::default());
+    let mut psdu: Vec<u8> = (0..200).map(|i| (i * 7 % 251) as u8).collect();
+    freerider::coding::crc::append_crc32(&mut psdu);
+    let clean = tx.transmit(&psdu).unwrap();
+    let rx = Receiver::new(RxConfig {
+        sensitivity_dbm: -200.0,
+        ..RxConfig::default()
+    });
+    let buffers = hostile_buffers(&clean);
+
+    let mut warm = RxScratch::new();
+    rx.receive_with(&clean, &mut warm).unwrap();
+    let mut failed = panicking_cases(&buffers, |buf| {
+        let _ = rx.receive_with(buf, &mut warm);
+    });
+    failed.extend(
+        panicking_cases(&buffers, |buf| {
+            let _ = rx.receive(buf);
+        })
+        .into_iter()
+        .map(|l| format!("receive: {l}")),
+    );
+    failed.extend(
+        panicking_cases(&buffers, |buf| {
+            let _ = rx.receive_all(buf);
+        })
+        .into_iter()
+        .map(|l| format!("receive_all: {l}")),
+    );
+    assert!(failed.is_empty(), "WiFi RX panicked on: {failed:?}");
+
+    // The scratch that saw every hostile buffer decodes the next clean
+    // packet exactly as a fresh one does.
+    let after = format!("{:?}", rx.receive_with(&clean, &mut warm).unwrap());
+    let fresh = format!(
+        "{:?}",
+        rx.receive_with(&clean, &mut RxScratch::new()).unwrap()
+    );
+    assert_eq!(after, fresh, "hostile input left state in the warm scratch");
+    let pkt = rx.receive(&clean).unwrap();
+    assert!(pkt.fcs_valid);
+    assert_eq!(pkt.psdu, psdu);
+}
+
+#[test]
+fn zigbee_receiver_survives_hostile_iq() {
+    use freerider::zigbee::{Receiver, RxConfig, Transmitter};
+    let clean = Transmitter::new().transmit(&[0x42; 30]).unwrap();
+    let rx = Receiver::new(RxConfig {
+        sensitivity_dbm: -200.0,
+        ..RxConfig::default()
+    });
+    assert!(rx.receive(&clean).unwrap().fcs_valid);
+    let failed = panicking_cases(&hostile_buffers(&clean), |buf| {
+        let _ = rx.receive(buf);
+    });
+    assert!(failed.is_empty(), "ZigBee RX panicked on: {failed:?}");
+    assert!(rx.receive(&clean).unwrap().fcs_valid);
+}
+
+#[test]
+fn ble_receiver_survives_hostile_iq() {
+    use freerider::ble::{Receiver, RxConfig, Transmitter};
+    let clean = Transmitter::new().transmit(&[0x5A; 30]).unwrap();
+    let rx = Receiver::new(RxConfig {
+        sensitivity_dbm: -200.0,
+        ..RxConfig::default()
+    });
+    assert!(rx.receive(&clean).unwrap().crc_valid);
+    let failed = panicking_cases(&hostile_buffers(&clean), |buf| {
+        let _ = rx.receive(buf);
+    });
+    assert!(failed.is_empty(), "BLE RX panicked on: {failed:?}");
+    assert!(rx.receive(&clean).unwrap().crc_valid);
+}

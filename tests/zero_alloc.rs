@@ -111,16 +111,16 @@ fn steady_state_rx_with_warm_scratch_is_allocation_free() {
 
 #[test]
 fn warm_batch_kernels_are_allocation_free() {
-    // The batch kernels the lane rewrite introduced must individually be
-    // allocation-free once their output buffers are warm: the Viterbi
-    // lane dispatcher on a warm `ViterbiScratch`, `FftPlan::run_batch`
-    // over a preallocated block, and the batched demappers (plain and
-    // deinterleave-fused) into warmed LLR buffers.
+    // The kernels `receive_with` runs over a whole DATA field must each be
+    // allocation-free once their buffers are warm: Viterbi at its default
+    // lane width on a warm `ViterbiScratch`, the per-block `fft64` loop
+    // over the packed symbol plane, and the deinterleave-fused demapper
+    // into a warmed LLR buffer.
     use freerider::coding::convolutional::{viterbi_decode_soft_scratch, CodeRate, ViterbiScratch};
     use freerider::coding::interleaver::Interleaver;
-    use freerider::dsp::fft::plan64;
+    use freerider::dsp::fft::fft64;
     use freerider::dsp::Complex;
-    use freerider::wifi::mapping::{soft_demap_batch_into, soft_demap_deinterleave_batch_into};
+    use freerider::wifi::mapping::soft_demap_deinterleave_batch_into;
     use freerider::wifi::rates::Modulation;
 
     let llrs: Vec<f64> = (0..1200)
@@ -137,8 +137,6 @@ fn warm_batch_kernels_are_allocation_free() {
         .map(|n| std::array::from_fn(|i| Complex::cis(0.1 * (n * 48 + i) as f64)))
         .collect();
     let gains: Vec<f64> = (0..48).map(|i| 0.5 + (i as f64) / 48.0).collect();
-    let mut demap_out = Vec::new();
-    soft_demap_batch_into(&symbols, &gains, Modulation::Qam16, &mut demap_out); // warm
     let il = Interleaver::new(48 * 4, 4);
     let mut fused_out = Vec::new();
     soft_demap_deinterleave_batch_into(
@@ -151,8 +149,9 @@ fn warm_batch_kernels_are_allocation_free() {
 
     let ((), n) = count_allocs(|| {
         let _ = viterbi_decode_soft_scratch(&llrs, CodeRate::Half, &mut vit);
-        plan64().run_batch(&mut blocks).unwrap();
-        soft_demap_batch_into(&symbols, &gains, Modulation::Qam16, &mut demap_out);
+        for block in blocks.as_chunks_mut::<64>().0 {
+            fft64(block);
+        }
         soft_demap_deinterleave_batch_into(
             &symbols,
             &gains,
@@ -164,6 +163,6 @@ fn warm_batch_kernels_are_allocation_free() {
 
     assert_eq!(
         n, 0,
-        "warm batch kernels allocated {n} time(s); lane Viterbi, run_batch and batched demap must be allocation-free"
+        "warm RX kernels allocated {n} time(s); default-width Viterbi, the fft64 loop and the fused demap must be allocation-free"
     );
 }
