@@ -520,8 +520,7 @@ fn main() -> ExitCode {
         Some(ws_root) => kernels.push(KernelResult {
             name: "lint/workspace_scan",
             summary: bench("lint/workspace_scan", budget, max_iters.min(50), || {
-                let files = freerider_lint::walk::discover(&ws_root).expect("walk workspace");
-                freerider_lint::rules::analyze(&ws_root, &files)
+                freerider_lint::run(&ws_root)
                     .expect("analyze workspace")
                     .findings
                     .len()

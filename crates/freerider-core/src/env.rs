@@ -12,9 +12,10 @@
 //! ([`freerider_rt::executor::THREADS_ENV`], `freerider_telemetry`'s
 //! `LOG_ENV` / `TRACE_ENV`) because the dependency graph points the other
 //! way — this crate sits above them. The registry duplicates the names on
-//! purpose, and the lint keeps the copies honest: an entry here without a
-//! matching read is stale documentation, a read without an entry is a
-//! build failure.
+//! purpose, and the lint keeps the copies honest: a read without an entry
+//! is a D3 finding, and the lint's workspace self-check test fails on an
+//! entry here that no code or `scripts/` file reads, or on a name a
+//! script reads that is missing here.
 
 /// One documented environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +39,14 @@ pub const REGISTRY: &[EnvKnob] = &[
         doc: "Regression threshold for the bench-baseline diff: the verify \
               gate fails when a kernel median slows down by more than this \
               percentage over benchmarks/latest.json.",
+    },
+    EnvKnob {
+        name: "FREERIDER_LANE_SLACK",
+        consumer: "scripts/bench_diff.py",
+        default: "10 (percent)",
+        doc: "Slack for bench_diff.py --assert-lanes: a compiled-in lane \
+              width passes its sweep when its median is within this \
+              percentage of the fastest width's.",
     },
     EnvKnob {
         name: "FREERIDER_LOG",

@@ -37,18 +37,16 @@
 //! * **E1 `wire-exhaustive`** — every `FrameType` variant has both an
 //!   encode site and a decode arm, resolved *across* files.
 //!
-//! Waivers are per-line pragmas with mandatory reasons
-//! (`// lint: allow(panic) — length checked above`); accepted legacy debt
-//! lives in a fingerprint [`baseline`] (one stable hash per finding —
-//! line-number independent, so refactors that only move code leave the
-//! baseline untouched) and the build fails only on *new* violations.
-//! Reports come as `file:line: rule: message` text or a schema-tagged
-//! JSON document ([`report`]).
+//! The verdict is binary: any finding fails the run. The only waiver is a
+//! per-line pragma with a mandatory reason
+//! (`// lint: allow(panic) — length checked above`), so every accepted
+//! exception sits next to the code it excuses and says why. Reports come
+//! as `file:line: rule: message` text or a schema-tagged JSON document
+//! ([`report`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod items;
 pub mod lexer;
 pub mod report;
@@ -58,36 +56,8 @@ pub mod walk;
 use std::io;
 use std::path::Path;
 
-/// The outcome of one workspace run: analysis plus baseline verdict.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// Raw analysis (all findings, pre-baseline).
-    pub analysis: rules::Analysis,
-    /// Findings weighed against the baseline.
-    pub assessment: baseline::Assessment,
-}
-
-impl RunOutcome {
-    /// True when the run should exit 0: no above-baseline findings.
-    pub fn ok(&self) -> bool {
-        self.assessment.new.is_empty()
-    }
-}
-
-/// Analyzes the workspace at `root` against the baseline at
-/// `baseline_path` (missing file = empty baseline).
-pub fn run(root: &Path, baseline_path: &Path) -> io::Result<RunOutcome> {
+/// Analyzes every lintable file of the workspace at `root`.
+pub fn run(root: &Path) -> io::Result<rules::Analysis> {
     let files = walk::discover(root)?;
-    let analysis = rules::analyze(root, &files)?;
-    let base = baseline::load(baseline_path)?;
-    let assessment = baseline::assess(&analysis.findings, &base);
-    Ok(RunOutcome {
-        analysis,
-        assessment,
-    })
-}
-
-/// Default baseline location for a workspace root.
-pub fn default_baseline_path(root: &Path) -> std::path::PathBuf {
-    root.join("lint.baseline")
+    rules::analyze(root, &files)
 }

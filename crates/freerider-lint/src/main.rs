@@ -1,56 +1,42 @@
 //! The `freerider-lint` binary: walk the workspace, enforce the contract.
 //!
 //! ```text
-//! freerider-lint --workspace [--root DIR] [--baseline FILE] [--json FILE]
-//!                [--update-baseline] [--migrate-baseline]
-//!                [--list-rules] [--selftest]
+//! freerider-lint --workspace [--root DIR] [--json FILE]
+//! freerider-lint --list-rules
 //! ```
 //!
-//! Exit status: 0 when no *new* (above-baseline) findings, 1 when there
-//! are, 2 on usage or I/O errors.
+//! Exit status: 0 when there are no findings, 1 when there are, 2 on
+//! usage or I/O errors.
 
-use freerider_lint::{baseline, default_baseline_path, report, rules, run, walk};
+use freerider_lint::{report, run, walk};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     workspace: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: Option<PathBuf>,
-    update_baseline: bool,
-    migrate_baseline: bool,
     list_rules: bool,
-    selftest: bool,
 }
 
 const USAGE: &str = "\
 usage: freerider-lint --workspace [options]
-       freerider-lint --list-rules | --selftest
+       freerider-lint --list-rules
 
 options:
   --workspace          analyze every .rs file of the enclosing workspace
   --root DIR           workspace root (default: walk up from the cwd)
-  --baseline FILE      baseline file (default: <root>/lint.baseline)
-  --json FILE          also write the machine-readable freerider-lint/2 report
-  --update-baseline    rewrite the baseline to match current findings, exit 0
-  --migrate-baseline   convert a v1 count-based baseline to v2 fingerprints
+  --json FILE          also write the machine-readable freerider-lint/3 report
   --list-rules         print the rule catalogue and exit
-  --selftest           prove every rule trips on its embedded positive fixture
 ";
 
-fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         workspace: false,
         root: None,
-        baseline: None,
         json: None,
-        update_baseline: false,
-        migrate_baseline: false,
         list_rules: false,
-        selftest: false,
     };
-    let mut argv = argv.peekable();
     while let Some(a) = argv.next() {
         let mut path_arg = |name: &str| -> Result<PathBuf, String> {
             argv.next()
@@ -60,22 +46,13 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         match a.as_str() {
             "--workspace" => args.workspace = true,
             "--root" => args.root = Some(path_arg("--root")?),
-            "--baseline" => args.baseline = Some(path_arg("--baseline")?),
             "--json" => args.json = Some(path_arg("--json")?),
-            "--update-baseline" => args.update_baseline = true,
-            "--migrate-baseline" => args.migrate_baseline = true,
             "--list-rules" => args.list_rules = true,
-            "--selftest" => args.selftest = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if !args.workspace && !args.list_rules && !args.selftest {
-        return Err("nothing to do: pass --workspace, --list-rules, or --selftest".to_string());
-    }
-    if args.migrate_baseline && !args.workspace {
-        return Err(
-            "--migrate-baseline needs --workspace (findings anchor the entries)".to_string(),
-        );
+    if !args.workspace && !args.list_rules {
+        return Err("nothing to do: pass --workspace or --list-rules".to_string());
     }
     Ok(args)
 }
@@ -92,23 +69,9 @@ fn main() -> ExitCode {
         print!("{}", report::rule_catalogue());
         return ExitCode::SUCCESS;
     }
-    if args.selftest {
-        return match run_selftest() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("freerider-lint: selftest FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     match run_workspace(&args) {
-        Ok(ok) => {
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("freerider-lint: {e}");
             ExitCode::from(2)
@@ -125,207 +88,12 @@ fn run_workspace(args: &Args) -> Result<bool, String> {
                 .ok_or("no enclosing workspace (no Cargo.toml with [workspace]); use --root")?
         }
     };
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| default_baseline_path(&root));
-
-    if args.migrate_baseline {
-        let v1 = baseline::load_v1(&baseline_path)
-            .map_err(|e| format!("reading v1 {}: {e}", baseline_path.display()))?;
-        let files =
-            walk::discover(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-        let analysis = rules::analyze(&root, &files)
-            .map_err(|e| format!("analyzing {}: {e}", root.display()))?;
-        let accepted: Vec<rules::Finding> = baseline::migrate(&v1, &analysis.findings)
-            .into_iter()
-            .cloned()
-            .collect();
-        baseline::save(&baseline_path, &accepted)
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        println!(
-            "freerider-lint: baseline migrated to v2 ({} of {} current finding(s) carried) at {}",
-            accepted.len(),
-            analysis.findings.len(),
-            baseline_path.display()
-        );
-        return Ok(true);
-    }
-
-    let outcome =
-        run(&root, &baseline_path).map_err(|e| format!("analyzing {}: {e}", root.display()))?;
-
-    if args.update_baseline {
-        baseline::save(&baseline_path, &outcome.analysis.findings)
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        println!(
-            "freerider-lint: baseline updated ({} finding(s) accepted) at {}",
-            outcome.analysis.findings.len(),
-            baseline_path.display()
-        );
-        return Ok(true);
-    }
-
+    let analysis = run(&root).map_err(|e| format!("analyzing {}: {e}", root.display()))?;
     if let Some(json_path) = &args.json {
-        let doc = report::json(
-            &root.display().to_string(),
-            &outcome.analysis,
-            &outcome.assessment,
-        );
+        let doc = report::json(&root.display().to_string(), &analysis);
         std::fs::write(json_path, doc)
             .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
     }
-
-    print!("{}", report::text(&outcome.analysis, &outcome.assessment));
-    Ok(outcome.ok())
-}
-
-/// One embedded positive fixture per rule: the file contents are compiled
-/// into the binary so `--selftest` works from any cwd with no checkout.
-macro_rules! fixture_file {
-    ($rel:literal) => {
-        include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/", $rel))
-    };
-}
-
-const SELFTEST: &[(&str, &[(&str, &str)])] = &[
-    (
-        "wallclock",
-        &[(
-            "crates/demo/src/lib.rs",
-            fixture_file!("d1_bad/crates/demo/src/lib.rs"),
-        )],
-    ),
-    (
-        "hash-collections",
-        &[(
-            "crates/demo/src/lib.rs",
-            fixture_file!("d2_bad/crates/demo/src/lib.rs"),
-        )],
-    ),
-    (
-        "env-registry",
-        &[(
-            "crates/demo/src/lib.rs",
-            fixture_file!("d3_bad/crates/demo/src/lib.rs"),
-        )],
-    ),
-    (
-        "panic",
-        &[(
-            "crates/demo/src/lib.rs",
-            fixture_file!("p1_bad/crates/demo/src/lib.rs"),
-        )],
-    ),
-    (
-        "unsafe-audit",
-        &[(
-            "crates/demo/src/lib.rs",
-            fixture_file!("u1_bad_unsafe/crates/demo/src/lib.rs"),
-        )],
-    ),
-    (
-        "hot-path-alloc",
-        &[(
-            "crates/demo/src/lib.rs",
-            fixture_file!("a1_alloc/crates/demo/src/lib.rs"),
-        )],
-    ),
-    (
-        "atomic-ordering",
-        &[
-            (
-                "crates/demo/src/lib.rs",
-                fixture_file!("o1_ordering/crates/demo/src/lib.rs"),
-            ),
-            (
-                "crates/freerider-telemetry/src/counters.rs",
-                fixture_file!("o1_ordering/crates/freerider-telemetry/src/counters.rs"),
-            ),
-        ],
-    ),
-    (
-        "thread-containment",
-        &[
-            (
-                "crates/demo/src/lib.rs",
-                fixture_file!("t1_thread/crates/demo/src/lib.rs"),
-            ),
-            (
-                "crates/freerider-rt/src/worker.rs",
-                fixture_file!("t1_thread/crates/freerider-rt/src/worker.rs"),
-            ),
-        ],
-    ),
-    (
-        "wire-exhaustive",
-        &[(
-            "crates/demo/src/lib.rs",
-            fixture_file!("e1_frames/crates/demo/src/lib.rs"),
-        )],
-    ),
-    (
-        // The on-disk pragma_bad fixture deliberately trips P1 too (a
-        // reason-less pragma must not waive its target); the embedded
-        // variant isolates pragma hygiene itself.
-        "pragma",
-        &[(
-            "crates/demo/src/lib.rs",
-            "//! Embedded pragma-hygiene fixture.\n\
-             #![forbid(unsafe_code)]\n\
-             \n\
-             // lint: allow(panic)\n\
-             pub fn reasonless_above() {}\n\
-             \n\
-             // lint: allow(warp-drive) — no such rule\n\
-             pub fn unknown_rule_above() {}\n",
-        )],
-    ),
-];
-
-/// Materializes each embedded fixture into a temp workspace, analyzes it,
-/// and requires the fixture's own rule to trip (and sanctioned companion
-/// files to stay silent).
-fn run_selftest() -> Result<(), String> {
-    let base = std::env::temp_dir().join(format!("freerider_lint_selftest_{}", std::process::id()));
-    let mut result = Ok(());
-    for (slug, files) in SELFTEST {
-        let root = base.join(slug);
-        let _ = std::fs::remove_dir_all(&root);
-        for (rel, content) in *files {
-            let path = root.join(rel);
-            let dir = path.parent().ok_or("fixture path has no parent")?;
-            std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-            std::fs::write(&path, content).map_err(|e| format!("write {}: {e}", path.display()))?;
-        }
-        let files = walk::discover(&root).map_err(|e| format!("walk {slug}: {e}"))?;
-        let analysis = rules::analyze(&root, &files).map_err(|e| format!("analyze {slug}: {e}"))?;
-        let hits = analysis
-            .findings
-            .iter()
-            .filter(|f| f.rule.slug() == *slug)
-            .count();
-        let strays: Vec<String> = analysis
-            .findings
-            .iter()
-            .filter(|f| f.rule.slug() != *slug)
-            .map(|f| f.render())
-            .collect();
-        if hits == 0 {
-            result = Err(format!(
-                "rule `{slug}` did not trip on its positive fixture"
-            ));
-            println!("selftest: {slug:<18} FAIL (0 findings)");
-        } else if !strays.is_empty() {
-            result = Err(format!(
-                "fixture for `{slug}` tripped other rules: {}",
-                strays.join("; ")
-            ));
-            println!("selftest: {slug:<18} FAIL (stray findings)");
-        } else {
-            println!("selftest: {slug:<18} ok ({hits} finding(s))");
-        }
-    }
-    let _ = std::fs::remove_dir_all(&base);
-    result.map(|()| println!("freerider-lint: selftest passed ({} rules)", SELFTEST.len()))
+    print!("{}", report::text(&analysis));
+    Ok(analysis.ok())
 }

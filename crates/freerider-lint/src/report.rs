@@ -1,48 +1,36 @@
-//! Report rendering: human text and the `freerider-lint/2` JSON document.
+//! Report rendering: human text and the `freerider-lint/3` JSON document.
 //!
 //! The JSON mirrors the telemetry crate's reporting conventions: emitted
 //! by [`freerider_telemetry::json::JsonWriter`], fully deterministic
 //! (sorted findings, no timestamps), schema-tagged so CI can assert shape.
 
-use crate::baseline::Assessment;
-use crate::rules::{Analysis, Finding, Rule, ALL_RULES};
+use crate::rules::{Analysis, Rule, ALL_RULES};
 use freerider_telemetry::json::JsonWriter;
 use std::fmt::Write as _;
 
 /// Schema tag of the JSON report.
-pub const SCHEMA: &str = "freerider-lint/2";
+pub const SCHEMA: &str = "freerider-lint/3";
 
-/// Renders the human-readable report: new findings, stale-baseline
-/// warnings, and a one-line summary.
-pub fn text(analysis: &Analysis, assessment: &Assessment) -> String {
+/// Renders the human-readable report: one line per finding, then a
+/// one-line summary.
+pub fn text(analysis: &Analysis) -> String {
     let mut out = String::new();
-    for f in &assessment.new {
+    for f in &analysis.findings {
         // lint: allow(panic) — write! to a String cannot fail
         writeln!(out, "{}", f.render()).expect("write to String");
     }
-    for e in &assessment.stale {
-        writeln!(
-            out,
-            "warning: stale baseline: {} {} {:016x} no longer matches any finding \
-             (run --update-baseline to tighten)",
-            e.slug, e.path, e.fingerprint
-        )
-        .expect("write to String") // lint: allow(panic) — write! to a String cannot fail
-    }
     writeln!(
         out,
-        "freerider-lint: {} file(s), {} finding(s): {} new, {} baselined",
+        "freerider-lint: {} file(s), {} finding(s)",
         analysis.files_scanned,
         analysis.findings.len(),
-        assessment.new.len(),
-        assessment.baselined,
     )
     .expect("write to String"); // lint: allow(panic) — write! to a String cannot fail
     out
 }
 
 /// Renders the machine-readable report.
-pub fn json(root: &str, analysis: &Analysis, assessment: &Assessment) -> String {
+pub fn json(root: &str, analysis: &Analysis) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("schema").string(SCHEMA);
@@ -59,21 +47,12 @@ pub fn json(root: &str, analysis: &Analysis, assessment: &Assessment) -> String 
         w.key("id").string(rule.id());
         w.key("slug").string(rule.slug());
         w.key("description").string(rule.description());
-        let all: Vec<&Finding> = analysis
-            .findings
-            .iter()
-            .filter(|f| f.rule == rule)
-            .collect();
-        let new: Vec<&Finding> = assessment.new.iter().filter(|f| f.rule == rule).collect();
-        w.key("findings").u64(all.len() as u64);
-        w.key("new").begin_array();
-        for f in new {
+        w.key("findings").begin_array();
+        for f in analysis.findings.iter().filter(|f| f.rule == rule) {
             w.begin_object();
             w.key("file").string(&f.path);
             w.key("line").u64(f.line as u64);
             w.key("message").string(&f.message);
-            w.key("fingerprint")
-                .string(&format!("{:016x}", f.fingerprint));
             w.end_object();
         }
         w.end_array();
@@ -81,9 +60,7 @@ pub fn json(root: &str, analysis: &Analysis, assessment: &Assessment) -> String 
     }
     w.end_array();
     w.key("totalFindings").u64(analysis.findings.len() as u64);
-    w.key("newFindings").u64(assessment.new.len() as u64);
-    w.key("baselined").u64(assessment.baselined as u64);
-    w.key("ok").bool(assessment.new.is_empty());
+    w.key("ok").bool(analysis.ok());
     w.end_object();
     w.finish()
 }
@@ -110,45 +87,37 @@ pub fn rule_catalogue() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline;
+    use crate::rules::Finding;
 
-    fn sample() -> (Analysis, Assessment) {
-        let mut findings = vec![Finding {
-            rule: Rule::Panic,
-            path: "crates/x/src/lib.rs".to_string(),
-            line: 7,
-            message: "boom".to_string(),
-            norm: "x.unwrap();".to_string(),
-            fingerprint: 0,
-        }];
-        crate::rules::assign_fingerprints(&mut findings);
-        let assessment = baseline::assess(&findings, &baseline::Baseline::new());
-        (
-            Analysis {
-                findings,
-                files_scanned: 3,
-                registry: ["FREERIDER_THREADS".to_string()].into(),
-            },
-            assessment,
-        )
+    fn sample() -> Analysis {
+        Analysis {
+            findings: vec![Finding {
+                rule: Rule::Panic,
+                path: "crates/x/src/lib.rs".to_string(),
+                line: 7,
+                message: "boom".to_string(),
+            }],
+            files_scanned: 3,
+            registry: ["FREERIDER_THREADS".to_string()].into(),
+        }
     }
 
     #[test]
     fn text_report_has_canonical_finding_lines() {
-        let (analysis, assessment) = sample();
-        let t = text(&analysis, &assessment);
+        let t = text(&sample());
         assert!(t.contains("crates/x/src/lib.rs:7: panic: boom"));
-        assert!(t.contains("1 new, 0 baselined"));
+        assert!(t.contains("3 file(s), 1 finding(s)"));
     }
 
     #[test]
     fn json_report_is_valid_and_tagged() {
-        let (analysis, assessment) = sample();
-        let j = json("/ws", &analysis, &assessment);
+        let j = json("/ws", &sample());
         assert!(j.starts_with(&format!(r#"{{"schema":"{SCHEMA}""#)));
         assert!(j.contains(r#""slug":"panic""#));
-        assert!(j.contains(r#""fingerprint":""#));
-        assert!(j.contains(r#""newFindings":1"#));
+        assert!(
+            j.contains(r#""findings":[{"file":"crates/x/src/lib.rs","line":7,"message":"boom"}]"#)
+        );
+        assert!(j.contains(r#""totalFindings":1"#));
         assert!(j.contains(r#""ok":false"#));
         // Balanced delimiters (JsonWriter::finish already asserts this,
         // but check the output survived formatting).

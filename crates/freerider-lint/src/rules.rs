@@ -73,7 +73,7 @@ pub const ALL_RULES: [Rule; 10] = [
 ];
 
 impl Rule {
-    /// The slug used in findings, pragmas, and baselines.
+    /// The slug used in findings, pragmas, and reports.
     pub fn slug(self) -> &'static str {
         match self {
             Rule::Wallclock => "wallclock",
@@ -161,13 +161,6 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// The offending source line, whitespace-normalized — the stable part
-    /// of the finding's identity (line *numbers* shift on unrelated edits).
-    pub norm: String,
-    /// Stable identity: FNV-1a 64 over rule slug, path, normalized line
-    /// text and the occurrence index among identical triples. Assigned by
-    /// [`assign_fingerprints`]; zero until then.
-    pub fingerprint: u64,
 }
 
 impl Finding {
@@ -183,65 +176,6 @@ impl Finding {
     }
 }
 
-/// Trims and collapses internal whitespace runs, so reformatting alone
-/// never changes a finding's identity.
-pub fn normalize_line(line: &str) -> String {
-    line.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
-/// FNV-1a 64-bit over NUL-separated parts.
-fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for p in parts {
-        eat(p);
-    }
-    h
-}
-
-/// The stable fingerprint of one finding occurrence.
-///
-/// `occ` disambiguates repeated identical `(rule, path, text)` triples in
-/// source order, so two `.unwrap()` on textually identical lines baseline
-/// independently, and the *multiset* of fingerprints is invariant under
-/// pure line moves.
-pub fn fingerprint(slug: &str, path: &str, norm: &str, occ: u32) -> u64 {
-    fnv1a64(&[
-        slug.as_bytes(),
-        path.as_bytes(),
-        norm.as_bytes(),
-        occ.to_string().as_bytes(),
-    ])
-}
-
-/// Assigns [`Finding::fingerprint`] over a (path, line)-sorted slice:
-/// occurrence indices count identical `(rule, path, norm)` triples in
-/// order, which makes the assignment deterministic and line-number-free.
-pub fn assign_fingerprints(findings: &mut [Finding]) {
-    let mut seen: BTreeMap<(&str, String, String), u32> = BTreeMap::new();
-    // Two passes to appease the borrow checker: compute, then write.
-    let occs: Vec<u32> = findings
-        .iter()
-        .map(|f| {
-            let key = (f.rule.slug(), f.path.clone(), f.norm.clone());
-            let occ = seen.entry(key).or_insert(0);
-            let v = *occ;
-            *occ += 1;
-            v
-        })
-        .collect();
-    for (f, occ) in findings.iter_mut().zip(occs) {
-        f.fingerprint = fingerprint(f.rule.slug(), &f.path, &f.norm, occ);
-    }
-}
-
 /// The result of analyzing a workspace.
 #[derive(Debug, Default)]
 pub struct Analysis {
@@ -251,6 +185,13 @@ pub struct Analysis {
     pub files_scanned: usize,
     /// The registered `FREERIDER_*` names found in the env registry.
     pub registry: BTreeSet<String>,
+}
+
+impl Analysis {
+    /// True when the run passes: no findings at all.
+    pub fn ok(&self) -> bool {
+        self.findings.is_empty()
+    }
 }
 
 /// Path (workspace-relative) of the central env-var registry D3 reads.
@@ -338,10 +279,9 @@ pub fn analyze(root: &Path, files: &[SourceFile]) -> io::Result<Analysis> {
     let registry = load_registry(root);
     let mut findings = Vec::new();
     // Per-crate U1 state: does the lib target contain `unsafe`, and does
-    // its crate root carry `#![forbid(unsafe_code)]` (plus its normalized
-    // first line, for the fingerprint of the crate-level finding)?
+    // its crate root carry `#![forbid(unsafe_code)]`?
     let mut lib_unsafe: BTreeMap<String, bool> = BTreeMap::new();
-    let mut lib_forbid: BTreeMap<String, (String, bool, String)> = BTreeMap::new();
+    let mut lib_forbid: BTreeMap<String, (String, bool)> = BTreeMap::new();
     // E1 accumulates across files: the wire enum's variants, every decode
     // arm, and every encode site, then settles after the loop.
     let mut wire = WireScan::default();
@@ -357,7 +297,7 @@ pub fn analyze(root: &Path, files: &[SourceFile]) -> io::Result<Analysis> {
             if file.is_lib_root {
                 lib_forbid.insert(
                     file.crate_name.clone(),
-                    (file.rel.clone(), ctx.has_forbid_unsafe(), ctx.norm_line(1)),
+                    (file.rel.clone(), ctx.has_forbid_unsafe()),
                 );
             }
         }
@@ -365,7 +305,7 @@ pub fn analyze(root: &Path, files: &[SourceFile]) -> io::Result<Analysis> {
 
     // U1, crate half: a crate with no unsafe in its library target must
     // ban it outright, so the audit burden can never grow silently.
-    for (crate_name, (lib_rel, has_forbid, first_norm)) in &lib_forbid {
+    for (crate_name, (lib_rel, has_forbid)) in &lib_forbid {
         let has_unsafe = lib_unsafe.get(crate_name).copied().unwrap_or(false);
         if !has_unsafe && !has_forbid {
             findings.push(Finding {
@@ -376,8 +316,6 @@ pub fn analyze(root: &Path, files: &[SourceFile]) -> io::Result<Analysis> {
                     "crate `{crate_name}` has no unsafe code but its crate root \
                      lacks #![forbid(unsafe_code)]"
                 ),
-                norm: first_norm.clone(),
-                fingerprint: 0,
             });
         }
     }
@@ -386,7 +324,6 @@ pub fn analyze(root: &Path, files: &[SourceFile]) -> io::Result<Analysis> {
     wire.settle(&mut findings);
 
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    assign_fingerprints(&mut findings);
     Ok(Analysis {
         findings,
         files_scanned: files.len(),
@@ -394,8 +331,8 @@ pub fn analyze(root: &Path, files: &[SourceFile]) -> io::Result<Analysis> {
     })
 }
 
-/// One declared wire-enum variant: `(name, line, normalized text, e1-waived)`.
-type WireVariant = (String, u32, String, bool);
+/// One declared wire-enum variant: `(name, line, e1-waived)`.
+type WireVariant = (String, u32, bool);
 
 /// E1 working state, accumulated file by file.
 #[derive(Debug, Default)]
@@ -415,7 +352,7 @@ impl WireScan {
     /// Emits the cross-file findings once every file has been scanned.
     fn settle(&self, out: &mut Vec<Finding>) {
         for (path, variants) in &self.enums {
-            for (name, line, norm, waived) in variants {
+            for (name, line, waived) in variants {
                 if *waived {
                     continue;
                 }
@@ -428,8 +365,6 @@ impl WireScan {
                             "`{WIRE_ENUM}::{name}` has no decoder: no \
                              `{WIRE_ENUM}::{WIRE_DECODE_FN}` function found"
                         ),
-                        norm: norm.clone(),
-                        fingerprint: 0,
                     });
                 } else if !self.decode_idents.contains(name) {
                     out.push(Finding {
@@ -441,8 +376,6 @@ impl WireScan {
                              `{WIRE_ENUM}::{WIRE_DECODE_FN}` — a peer sending this \
                              frame type would be rejected"
                         ),
-                        norm: norm.clone(),
-                        fingerprint: 0,
                     });
                 }
                 if !self.encode_refs.contains(name) {
@@ -455,8 +388,6 @@ impl WireScan {
                              `{WIRE_ENUM}::{name}` reference outside the declaration \
                              and the decoder"
                         ),
-                        norm: norm.clone(),
-                        fingerprint: 0,
                     });
                 }
             }
@@ -465,16 +396,17 @@ impl WireScan {
 }
 
 /// Loads the registered env-var names: every `FREERIDER_*` string literal
-/// in [`REGISTRY_PATH`]. A missing registry file means an empty registry
-/// (so every knob is flagged until one is created).
+/// in non-test code of [`REGISTRY_PATH`] (its tests look up near-miss
+/// names that must not count as registered). A missing registry file
+/// means an empty registry (so every knob is flagged until one is
+/// created).
 fn load_registry(root: &Path) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     if let Ok(src) = fs::read_to_string(root.join(REGISTRY_PATH)) {
-        for tok in lex(&src) {
-            if let Tok::Str(s) = &tok.kind {
-                for name in freerider_names(s) {
-                    names.insert(name);
-                }
+        let tokens = lex(&src);
+        for (tok, in_test) in tokens.iter().zip(test_mask(&tokens)) {
+            if let (Tok::Str(s), false) = (&tok.kind, in_test) {
+                names.extend(freerider_names(s));
             }
         }
     }
@@ -482,7 +414,7 @@ fn load_registry(root: &Path) -> BTreeSet<String> {
 }
 
 /// Extracts every maximal `FREERIDER_[A-Z0-9_]+` run from a string.
-fn freerider_names(s: &str) -> Vec<String> {
+pub fn freerider_names(s: &str) -> Vec<String> {
     const PREFIX: &str = "FREERIDER_";
     let bytes = s.as_bytes();
     let mut out = Vec::new();
@@ -512,8 +444,6 @@ struct FileCtx<'a> {
     tokens: Vec<Token>,
     /// The item tree: module/impl structure, fn bodies, enum variants.
     items: ItemTree,
-    /// Normalized source lines (0-indexed), for finding fingerprints.
-    norm_lines: Vec<String>,
     /// True for tokens inside `#[cfg(test)]` / `#[test]` items.
     in_test: Vec<bool>,
     /// Per rule: lines waived by a parsed `// lint: allow(…)` pragma.
@@ -535,7 +465,6 @@ impl<'a> FileCtx<'a> {
         let tokens = lex(src);
         let in_test = test_mask(&tokens);
         let items = ItemTree::parse(&tokens);
-        let norm_lines = src.lines().map(normalize_line).collect();
         let mut ctx = FileCtx {
             file,
             registry,
@@ -546,20 +475,11 @@ impl<'a> FileCtx<'a> {
             hot_spans: Vec::new(),
             unresolved_hot: Vec::new(),
             items,
-            norm_lines,
             tokens,
         };
         ctx.scan_comments();
         ctx.resolve_hot_paths();
         ctx
-    }
-
-    /// The normalized text of 1-based `line` ("" when out of range).
-    fn norm_line(&self, line: u32) -> String {
-        self.norm_lines
-            .get(line.saturating_sub(1) as usize)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Parses pragmas, hot-path markers and SAFETY markers out of the
@@ -651,7 +571,6 @@ impl<'a> FileCtx<'a> {
                         (
                             v.name.clone(),
                             v.line,
-                            self.norm_line(v.line),
                             waived.is_some_and(|w| w.contains(&v.line)),
                         )
                     })
@@ -1034,8 +953,6 @@ impl<'a> FileCtx<'a> {
             path: self.file.rel.clone(),
             line,
             message,
-            norm: self.norm_line(line),
-            fingerprint: 0,
         });
     }
 }
@@ -1618,52 +1535,5 @@ impl FrameType {
             out.iter().any(|f| f.message.contains("has no decoder")),
             "{out:?}"
         );
-    }
-
-    #[test]
-    fn fingerprints_are_line_move_invariant_and_occurrence_stable() {
-        let mk = |line: u32, norm: &str| Finding {
-            rule: Rule::Panic,
-            path: "crates/x/src/lib.rs".to_string(),
-            line,
-            message: "m".to_string(),
-            norm: norm.to_string(),
-            fingerprint: 0,
-        };
-        // Same three findings, shifted down 40 lines: identical multiset
-        // of fingerprints (two identical texts keep distinct occurrence
-        // indices; the third differs by text).
-        let mut a = vec![
-            mk(5, "x.unwrap();"),
-            mk(9, "x.unwrap();"),
-            mk(12, "y.unwrap();"),
-        ];
-        let mut b = vec![
-            mk(45, "x.unwrap();"),
-            mk(49, "x.unwrap();"),
-            mk(52, "y.unwrap();"),
-        ];
-        assign_fingerprints(&mut a);
-        assign_fingerprints(&mut b);
-        let fa: Vec<u64> = a.iter().map(|f| f.fingerprint).collect();
-        let fb: Vec<u64> = b.iter().map(|f| f.fingerprint).collect();
-        assert_eq!(fa, fb);
-        assert_ne!(fa[0], fa[1], "identical lines get distinct occurrences");
-        assert_ne!(fa[1], fa[2]);
-        // Changing the rule or the path changes every fingerprint.
-        assert_ne!(
-            fingerprint("panic", "a.rs", "x.unwrap();", 0),
-            fingerprint("wallclock", "a.rs", "x.unwrap();", 0)
-        );
-        assert_ne!(
-            fingerprint("panic", "a.rs", "x.unwrap();", 0),
-            fingerprint("panic", "b.rs", "x.unwrap();", 0)
-        );
-    }
-
-    #[test]
-    fn normalize_line_collapses_whitespace_only() {
-        assert_eq!(normalize_line("  let  x\t=  1;  "), "let x = 1;");
-        assert_eq!(normalize_line(""), "");
     }
 }

@@ -56,7 +56,7 @@ pub struct SourceFile {
 pub const ROOT_PACKAGE: &str = "freerider";
 
 /// Walks a workspace root and returns every lintable `.rs` file, sorted by
-/// relative path so reports and baselines are deterministic.
+/// relative path so reports are deterministic.
 ///
 /// Scanned roots: `crates/*/…`, `src/…`, `tests/…`, `examples/…`,
 /// `benches/…`. Directories named `target` or `fixtures` are skipped

@@ -21,9 +21,6 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --offline -- -D warnings"
 cargo clippy --workspace --offline -- -D warnings
 
-echo "==> freerider-lint --selftest (every rule trips on its embedded fixture)"
-cargo run --release --offline -p freerider-lint -- --selftest
-
 echo "==> freerider-lint --workspace (determinism / panic / unsafe / hot-path contract)"
 cargo run --release --offline -p freerider-lint -- \
     --workspace --json /tmp/freerider_lint.json
@@ -31,10 +28,12 @@ python3 - <<'EOF'
 import json
 with open("/tmp/freerider_lint.json") as f:
     doc = json.load(f)
-assert doc["schema"] == "freerider-lint/2", doc.get("schema")
+assert doc["schema"] == "freerider-lint/3", doc.get("schema")
 assert doc["ok"] is True, "lint report not ok"
-assert doc["newFindings"] == 0, f"{doc['newFindings']} new lint finding(s)"
+assert doc["totalFindings"] == 0, f"{doc['totalFindings']} lint finding(s)"
 assert doc["filesScanned"] > 100, doc["filesScanned"]
+for r in doc["rules"]:
+    assert r["findings"] == [], f"{r['slug']}: {r['findings']}"
 slugs = {r["slug"] for r in doc["rules"]}
 expected = {"wallclock", "hash-collections", "env-registry",
             "panic", "unsafe-audit", "hot-path-alloc", "atomic-ordering",
@@ -43,7 +42,7 @@ assert expected <= slugs, f"missing rules: {expected - slugs}"
 ids = {r["id"] for r in doc["rules"]}
 assert {"A1", "O1", "T1", "E1"} <= ids, f"missing rule ids: {ids}"
 print(f"lint JSON OK: {doc['filesScanned']} files, {len(slugs)} rules, "
-      f"{doc['newFindings']} new findings")
+      f"{doc['totalFindings']} findings")
 EOF
 
 echo "==> repro --quick all --json smoke"

@@ -1,6 +1,8 @@
 //! Hostile IQ against every receive entry point: non-finite and
 //! overflowing samples (sprinkled through a valid packet and filling the
-//! whole buffer), empty buffers, and buffers cut mid-packet.
+//! whole buffer), empty buffers, buffers cut mid-packet, a carrier offset
+//! far outside any estimator's range, hard clipping, and (WiFi) a SIGNAL
+//! field that claims a maximum-length PSDU over a short buffer.
 //!
 //! Each call must return — `Ok` or a typed error — without panicking.
 //! A warm WiFi [`RxScratch`] that has seen all of it must still decode
@@ -43,6 +45,26 @@ fn hostile_buffers(clean: &[Complex]) -> Vec<(String, Vec<Complex>)> {
         let cut = clean.len() * frac / 10;
         out.push((format!("truncated at {cut}"), clean[..cut].to_vec()));
     }
+    // A carrier offset of a tenth of the sample rate (2 MHz for WiFi,
+    // ~13x its ±156 kHz fine-CFO capture range), both signs.
+    for cycles in [0.1, -0.1] {
+        let rotated = clean
+            .iter()
+            .enumerate()
+            .map(|(n, &z)| z * Complex::cis(std::f64::consts::TAU * cycles * n as f64))
+            .collect();
+        out.push((format!("cfo {cycles} cycles/sample"), rotated));
+    }
+    // Each rail hard-clipped at 10% of the packet's peak rail magnitude.
+    let peak = clean
+        .iter()
+        .fold(0.0f64, |m, z| m.max(z.re.abs()).max(z.im.abs()));
+    let rail = 0.1 * peak;
+    let clipped = clean
+        .iter()
+        .map(|z| Complex::new(z.re.clamp(-rail, rail), z.im.clamp(-rail, rail)))
+        .collect();
+    out.push(("clipped at 10% of peak".to_string(), clipped));
     out
 }
 
@@ -69,7 +91,14 @@ fn wifi_receivers_survive_hostile_iq() {
         sensitivity_dbm: -200.0,
         ..RxConfig::default()
     });
-    let buffers = hostile_buffers(&clean);
+    let mut buffers = hostile_buffers(&clean);
+    // A valid SIGNAL field claiming LENGTH = MAX_PSDU_LEN, with the
+    // capture cut to the clean packet's length: the header promises
+    // ~109k samples of DATA that never arrive.
+    let max_len = freerider::wifi::plcp::MAX_PSDU_LEN;
+    let mut long = tx.transmit(&vec![0xA5; max_len]).unwrap();
+    long.truncate(clean.len());
+    buffers.push((format!("SIGNAL claims {max_len} B"), long));
 
     let mut warm = RxScratch::new();
     rx.receive_with(&clean, &mut warm).unwrap();
