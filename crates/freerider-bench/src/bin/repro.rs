@@ -112,45 +112,64 @@ fn write_json(
     std::fs::write(path, w.finish())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let list = args.iter().any(|a| a == "--list" || a == "-l");
-    let metrics = args.iter().any(|a| a == "--metrics" || a == "-m");
-    let mut json_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut profile_path: Option<String> = None;
-    let mut targets: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => {
-                    eprintln!("--json requires a path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if a == "--trace" {
-            match it.next() {
-                Some(p) => trace_path = Some(p.clone()),
-                None => {
-                    eprintln!("--trace requires a path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if a == "--profile" {
-            match it.next() {
-                Some(p) => profile_path = Some(p.clone()),
-                None => {
-                    eprintln!("--profile requires a path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if !a.starts_with('-') {
-            targets.push(a.as_str());
+const USAGE: &str = "usage: repro [--quick] [--metrics] [--json <path>] [--trace <path>] \
+                     [--profile <path>] <experiment>... | all | --list";
+
+struct Args {
+    quick: bool,
+    list: bool,
+    metrics: bool,
+    json_path: Option<String>,
+    trace_path: Option<String>,
+    profile_path: Option<String>,
+    targets: Vec<String>,
+}
+
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        quick: false,
+        list: false,
+        metrics: false,
+        json_path: None,
+        trace_path: None,
+        profile_path: None,
+        targets: Vec::new(),
+    };
+    while let Some(a) = argv.next() {
+        let mut path_arg = |name: &str| argv.next().ok_or(format!("{name} requires a path"));
+        match a.as_str() {
+            "--quick" | "-q" => args.quick = true,
+            "--list" | "-l" => args.list = true,
+            "--metrics" | "-m" => args.metrics = true,
+            "--json" => args.json_path = Some(path_arg("--json")?),
+            "--trace" => args.trace_path = Some(path_arg("--trace")?),
+            "--profile" => args.profile_path = Some(path_arg("--profile")?),
+            other if other.starts_with('-') => return Err(format!("unknown argument `{other}`")),
+            _ => args.targets.push(a),
         }
     }
+    if !args.list && args.targets.is_empty() {
+        return Err("no experiment named".to_string());
+    }
+    Ok(args)
+}
+
+fn main() -> ExitCode {
+    let Args {
+        quick,
+        list,
+        metrics,
+        json_path,
+        trace_path,
+        profile_path,
+        targets,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("repro: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     // --trace implies full tracing unless the user pinned a mode
     // explicitly via the environment (e.g. FREERIDER_TRACE=failures to
     // trace only the black box).
@@ -175,17 +194,11 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    if targets.is_empty() {
-        eprintln!(
-            "usage: repro [--quick] [--metrics] [--json <path>] [--trace <path>] <experiment>... | all | --list"
-        );
-        return ExitCode::FAILURE;
-    }
 
     // Expand `all` and drop duplicates (`repro all fig10` must not run
     // fig10 twice), keeping first-occurrence order.
     let mut names: Vec<&str> = Vec::new();
-    for t in targets {
+    for t in targets.iter().map(String::as_str) {
         if t == "all" {
             for e in freerider_bench::EXPERIMENTS {
                 if !names.contains(&e.name) {

@@ -6,7 +6,7 @@
 //!
 //! The `repro` binary prints them (`repro fig10`, `repro all`, …);
 //! EXPERIMENTS.md records the outputs against the paper's numbers; the
-//! std-only micro-benchmarks in `benches/` time the underlying kernels.
+//! `bench-baseline` binary times the underlying kernels.
 //!
 //! Every generator takes a `quick` flag: `true` shrinks the workload for
 //! CI/tests, `false` runs the full experiment sizes.

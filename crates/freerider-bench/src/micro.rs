@@ -1,13 +1,7 @@
-//! A minimal std-only micro-benchmark harness.
-//!
-//! The criterion dependency is gone (the workspace builds hermetically,
-//! and crates.io is unreachable in the environments this repo targets),
-//! so the `benches/` binaries time their kernels with this instead:
-//! adaptive iteration against a wall-clock budget, then median / mean
-//! per-iteration time from the collected samples.
-//!
-//! Run with `cargo bench` (the bench targets are `harness = false`
-//! plain `main`s) or `cargo run --release -p freerider-bench --bin …`.
+//! A minimal std-only micro-benchmark harness: adaptive iteration
+//! against a wall-clock budget, then median / mean per-iteration time
+//! from the collected samples. `bench-baseline` times every kernel row
+//! with it.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -143,13 +143,6 @@ impl BackscatterBudget {
     pub fn snr_db(&self, d_tx_tag_m: f64, d_tag_rx_m: f64) -> f64 {
         self.rssi_dbm(d_tx_tag_m, d_tag_rx_m) - self.noise_floor_dbm
     }
-
-    /// RSSI of the *excitation* signal at a receiver `d_m` from the
-    /// transmitter (used for direct TX→RX links, e.g. PLM reception at the
-    /// tag and the coexistence experiments).
-    pub fn direct_rssi_dbm(&self, d_m: f64) -> f64 {
-        self.tx_power_dbm - self.tx_tag.loss_db(d_m)
-    }
 }
 
 #[cfg(test)]

@@ -336,11 +336,11 @@ mod multipath_tests {
         let mut ch = Channel::new(0.0, -300.0, Fading::None, 7)
             .with_multipath(Multipath::office_nlos_20msps());
         let taps = ch.draw_taps();
-        let mut h = vec![Complex::ZERO; 64];
+        let mut h = [Complex::ZERO; 64];
         for (d, &t) in taps.iter().enumerate() {
             h[d] = t;
         }
-        fft::fft(&mut h).unwrap();
+        fft::fft64(&mut h);
         let gains: Vec<f64> = h.iter().map(|z| z.norm_sqr()).collect();
         let max = gains.iter().cloned().fold(f64::MIN, f64::max);
         let min = gains.iter().cloned().fold(f64::MAX, f64::min);

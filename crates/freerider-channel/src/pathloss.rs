@@ -62,11 +62,6 @@ impl FloorPlan {
         }
     }
 
-    /// Creates a floor plan from explicit walls.
-    pub fn with_walls(walls: Vec<(f64, f64)>) -> Self {
-        FloorPlan { walls }
-    }
-
     /// Total wall loss in dB at receiver distance `d_m`.
     pub fn wall_loss_db(&self, d_m: f64) -> f64 {
         self.walls

@@ -1,16 +1,15 @@
-//! Iterative radix-2 FFT / IFFT.
+//! The 64-point FFT / IFFT of the OFDM modem.
 //!
-//! The OFDM modem in `freerider-wifi` runs a 64-point transform per symbol
-//! through [`fft64`]/[`ifft64`], a fixed network over cached twiddles;
-//! [`fft`]/[`ifft`] are the any-power-of-two direct transform the 64-point
-//! path is pinned against, bit for bit. Both follow the classic
-//! Cooley–Tukey decimation-in-time structure with an explicit bit-reversal
-//! permutation, which is simple, allocation-free (in place), and fast
-//! enough to simulate multi-megasample packets in the benches.
+//! `freerider-wifi` runs a 64-point transform per symbol through
+//! [`fft64`]/[`ifft64`], a fixed radix-2 Cooley–Tukey decimation-in-time
+//! network (explicit bit-reversal permutation, in place, allocation-free)
+//! over cached twiddles. The test module's any-power-of-two direct
+//! transform is the oracle the 64-point path is pinned against, bit for
+//! bit.
 //!
-//! Conventions: [`fft`] computes the *unnormalised* forward DFT
-//! `X[k] = Σ_n x[n]·e^{-j2πkn/N}`; [`ifft`] computes the inverse with a
-//! `1/N` normalisation, so `ifft(fft(x)) == x`.
+//! Conventions: [`fft64`] computes the *unnormalised* forward DFT
+//! `X[k] = Σ_n x[n]·e^{-j2πkn/N}`; [`ifft64`] computes the inverse with a
+//! `1/N` normalisation, so `ifft64(fft64(x)) == x`.
 
 use crate::complex::Complex;
 use freerider_telemetry::profile;
@@ -20,91 +19,13 @@ use std::sync::OnceLock;
 /// (an `n`-point transform performs `n/2 · log₂ n`).
 const BUTTERFLIES: &str = "fft.butterflies";
 
-/// Errors from the transform entry points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FftError {
-    /// Input length is not a power of two (or is zero).
-    NotPowerOfTwo(usize),
-}
-
-impl std::fmt::Display for FftError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FftError::NotPowerOfTwo(n) => {
-                write!(f, "FFT length {n} is not a nonzero power of two")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FftError {}
-
-/// In-place forward FFT. Length must be a nonzero power of two.
-pub fn fft(data: &mut [Complex]) -> Result<(), FftError> {
-    transform(data, false)
-}
-
-/// In-place inverse FFT with `1/N` normalisation.
-pub fn ifft(data: &mut [Complex]) -> Result<(), FftError> {
-    transform(data, true)?;
-    let n = data.len() as f64;
-    for x in data.iter_mut() {
-        *x = *x / n;
-    }
-    Ok(())
-}
-
-fn transform(data: &mut [Complex], inverse: bool) -> Result<(), FftError> {
-    let n = data.len();
-    if n == 0 || !n.is_power_of_two() {
-        return Err(FftError::NotPowerOfTwo(n));
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    profile::work(BUTTERFLIES, (n as u64 / 2) * bits as u64);
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-    // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let u = data[i + k];
-                let v = data[i + k + len / 2] * w;
-                data[i + k] = u + v;
-                data[i + k + len / 2] = u - v;
-                w *= wlen;
-            }
-            i += len;
-        }
-        len <<= 1;
-    }
-    Ok(())
-}
-
-/// Performs an FFT shift: swaps the two halves of the spectrum so that DC
-/// moves to the centre. For even lengths this is its own inverse.
-pub fn fft_shift(data: &mut [Complex]) {
-    let n = data.len();
-    data.rotate_left(n / 2);
-}
-
 /// The cached twiddle tables of the 64-point network behind
 /// [`fft64`]/[`ifft64`], built once.
 ///
-/// [`fft`]/[`ifft`] re-derive every twiddle factor with `Complex::cis`
-/// trig on each call; the table hoists that work to first use so the
-/// per-call cost is pure multiply–adds. The twiddles are generated with
-/// the **same** `w *= wlen` recurrence the direct transform uses (not
+/// The table is built on first use, so the per-call cost is pure
+/// multiply–adds. The twiddles are generated with
+/// the **same** `w *= wlen` recurrence the direct transform (the test
+/// oracle) uses (not
 /// closed form `cis(2πk/N)` calls), so the 64-point path is
 /// *bit-identical* to the direct one — the property
 /// `specialized_64_path_is_bit_identical` pins and the receiver's
@@ -142,7 +63,7 @@ fn table64() -> &'static Table64 {
             let mut off = 0;
             let mut len = 2;
             while len <= 64 {
-                // Identical recurrence to `transform` — the k-th entry is
+                // Identical recurrence to the direct transform — the k-th entry is
                 // the k-fold product, not a fresh `cis` evaluation.
                 let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
                 let mut w = Complex::ONE;
@@ -163,7 +84,7 @@ fn table64() -> &'static Table64 {
 }
 
 /// The 64-point butterfly network (the OFDM symbol size): the arithmetic
-/// of [`transform`], but with each of the six stages monomorphised at a
+/// of the direct transform, but with each of the six stages monomorphised at a
 /// compile-time span length, so every loop bound, twiddle offset, and
 /// butterfly index is a constant the optimiser unrolls and vectorises
 /// without bounds checks.
@@ -186,7 +107,7 @@ fn process64(data: &mut [Complex; 64], table: &[Complex; 63]) {
 
 /// One radix-2 stage of the 64-point network at compile-time span length
 /// `LEN`: for each span, the first half combines with the twiddled second
-/// half exactly as [`transform`]'s inner loop does.
+/// half exactly as the direct transform's inner loop does.
 // lint: hot-path
 #[inline(always)]
 fn stage64<const LEN: usize>(data: &mut [Complex; 64], tw: &[Complex]) {
@@ -223,27 +144,72 @@ pub fn ifft64(data: &mut [Complex; 64]) {
     }
 }
 
+/// The direct any-power-of-two transform: the oracle [`fft64`]/[`ifft64`]
+/// are pinned against bit for bit, and the reference spectrum for the
+/// crate's non-64-point tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// In-place forward FFT. Length must be a nonzero power of two.
+    pub(crate) fn fft(data: &mut [Complex]) {
+        transform(data, false);
+    }
+
+    /// In-place inverse FFT with `1/N` normalisation.
+    pub(crate) fn ifft(data: &mut [Complex]) {
+        transform(data, true);
+        let n = data.len() as f64;
+        for x in data.iter_mut() {
+            *x = *x / n;
+        }
+    }
+
+    fn transform(data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        assert!(
+            n.is_power_of_two(),
+            "FFT length {n} is not a nonzero power of two"
+        );
+        // Bit-reversal permutation.
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if j > i {
+                data.swap(i, j);
+            }
+        }
+        // Butterflies.
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::cis(ang);
+            let mut i = 0;
+            while i < n {
+                let mut w = Complex::ONE;
+                for k in 0..len / 2 {
+                    let u = data[i + k];
+                    let v = data[i + k + len / 2] * w;
+                    data[i + k] = u + v;
+                    data[i + k + len / 2] = u - v;
+                    w *= wlen;
+                }
+                i += len;
+            }
+            len <<= 1;
+        }
+    }
 
     fn close(a: Complex, b: Complex) -> bool {
         (a - b).abs() < 1e-9
     }
 
     #[test]
-    fn rejects_non_power_of_two() {
-        let mut v = vec![Complex::ZERO; 3];
-        assert_eq!(fft(&mut v), Err(FftError::NotPowerOfTwo(3)));
-        let mut v = vec![];
-        assert_eq!(fft(&mut v), Err(FftError::NotPowerOfTwo(0)));
-    }
-
-    #[test]
     fn impulse_has_flat_spectrum() {
         let mut v = vec![Complex::ZERO; 8];
         v[0] = Complex::ONE;
-        fft(&mut v).unwrap();
+        fft(&mut v);
         for x in &v {
             assert!(close(*x, Complex::ONE));
         }
@@ -252,7 +218,7 @@ mod tests {
     #[test]
     fn dc_has_impulse_spectrum() {
         let mut v = vec![Complex::ONE; 16];
-        fft(&mut v).unwrap();
+        fft(&mut v);
         assert!(close(v[0], Complex::new(16.0, 0.0)));
         for x in &v[1..] {
             assert!(x.abs() < 1e-9);
@@ -266,7 +232,7 @@ mod tests {
         let mut v: Vec<Complex> = (0..n)
             .map(|t| Complex::cis(2.0 * std::f64::consts::PI * k0 as f64 * t as f64 / n as f64))
             .collect();
-        fft(&mut v).unwrap();
+        fft(&mut v);
         for (k, x) in v.iter().enumerate() {
             if k == k0 {
                 assert!((x.abs() - n as f64).abs() < 1e-8);
@@ -282,8 +248,8 @@ mod tests {
             .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
             .collect();
         let mut v = orig.clone();
-        fft(&mut v).unwrap();
-        ifft(&mut v).unwrap();
+        fft(&mut v);
+        ifft(&mut v);
         for (a, b) in v.iter().zip(orig.iter()) {
             assert!(close(*a, *b));
         }
@@ -296,19 +262,9 @@ mod tests {
             .collect();
         let te: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let mut s = x.clone();
-        fft(&mut s).unwrap();
+        fft(&mut s);
         let fe: f64 = s.iter().map(|z| z.norm_sqr()).sum::<f64>() / 64.0;
         assert!((te - fe).abs() < 1e-8);
-    }
-
-    #[test]
-    fn shift_centres_dc() {
-        let mut v: Vec<Complex> = (0..8).map(|i| Complex::new(i as f64, 0.0)).collect();
-        fft_shift(&mut v);
-        assert_eq!(v[0].re, 4.0);
-        assert_eq!(v[4].re, 0.0);
-        fft_shift(&mut v);
-        assert_eq!(v[0].re, 0.0);
     }
 
     fn random_signal(n: usize, seed: u64) -> Vec<Complex> {
@@ -320,25 +276,32 @@ mod tests {
 
     #[test]
     fn specialized_64_path_is_bit_identical() {
-        for seed in 0..16u64 {
-            let orig = random_signal(64, 0xBEEF + seed);
+        // 16 seeded random vectors, plus the unit-circle sweep
+        // `cis(0.3·i)` (a pure tone between bins).
+        let inputs = (0..16u64)
+            .map(|seed| (format!("seed={seed}"), random_signal(64, 0xBEEF + seed)))
+            .chain(std::iter::once((
+                "cis(0.3i)".to_string(),
+                (0..64).map(|i| Complex::cis(i as f64 * 0.3)).collect(),
+            )));
+        for (label, orig) in inputs {
             let mut direct = orig.clone();
-            fft(&mut direct).unwrap();
+            fft(&mut direct);
             let mut arr = [Complex::ZERO; 64];
             arr.copy_from_slice(&orig);
             fft64(&mut arr);
             for (a, b) in direct.iter().zip(arr.iter()) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "fft64 seed={seed}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "fft64 seed={seed}");
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "fft64 {label}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "fft64 {label}");
             }
             let mut direct = orig.clone();
-            ifft(&mut direct).unwrap();
+            ifft(&mut direct);
             let mut arr = [Complex::ZERO; 64];
             arr.copy_from_slice(&orig);
             ifft64(&mut arr);
             for (a, b) in direct.iter().zip(arr.iter()) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "ifft64 seed={seed}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "ifft64 seed={seed}");
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "ifft64 {label}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "ifft64 {label}");
             }
         }
     }
@@ -350,9 +313,9 @@ mod tests {
         let mut fa = a.clone();
         let mut fb = b.clone();
         let mut fab: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
-        fft(&mut fa).unwrap();
-        fft(&mut fb).unwrap();
-        fft(&mut fab).unwrap();
+        fft(&mut fa);
+        fft(&mut fb);
+        fft(&mut fab);
         for i in 0..32 {
             assert!(close(fab[i], fa[i] + fb[i]));
         }

@@ -63,17 +63,6 @@ impl Fir {
         Fir { taps }
     }
 
-    /// Designs a band-pass filter centred at `center` (cycles/sample) with
-    /// single-sided bandwidth `half_width`, by modulating a low-pass design.
-    ///
-    /// The passband is `[center - half_width, center + half_width]`; note the
-    /// response is real-tap only when applied as two mixing steps, so this
-    /// helper returns a low-pass and the caller mixes. For convenience we
-    /// instead expose [`Fir::filter_around`].
-    pub fn band_select(half_width: f64, num_taps: usize) -> Self {
-        Self::low_pass(half_width, num_taps)
-    }
-
     /// Gaussian filter taps for GFSK with bandwidth-time product `bt`,
     /// spanning `span` symbol periods at `sps` samples/symbol.
     pub fn gaussian(bt: f64, sps: usize, span: usize) -> Self {

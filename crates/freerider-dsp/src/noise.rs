@@ -55,11 +55,6 @@ impl NoiseSource {
         )
     }
 
-    /// Draws one real Gaussian with the configured per-dimension sigma.
-    pub fn sample_real(&mut self) -> f64 {
-        self.sigma_per_dim * self.std_normal()
-    }
-
     /// Adds noise to a buffer in place.
     pub fn add_to(&mut self, buf: &mut [Complex]) {
         for x in buf.iter_mut() {

@@ -215,7 +215,7 @@ const BENCH_CRATE: &str = "freerider-bench";
 pub const HOT_PATHS: &[(&str, &[&str])] = &[
     (
         "crates/freerider-dsp/src/fft.rs",
-        &["transform", "process64", "fft64", "ifft64"],
+        &["process64", "fft64", "ifft64"],
     ),
     (
         "crates/freerider-dsp/src/corr.rs",

@@ -19,8 +19,8 @@
 //! Profiling is off unless `FREERIDER_PROFILE` is set truthy (or a test /
 //! `repro --profile` calls [`set_enabled`]). The disabled path of every
 //! hook is a single relaxed atomic load — the same discipline as the
-//! flight recorder, and bounded the same way by the `bench-baseline`
-//! A/A profile-overhead triad.
+//! flight recorder. `bench-baseline`'s `profile_overhead` section prices
+//! full recording against the profiler-off WiFi RX row.
 //!
 //! # Determinism contract
 //!

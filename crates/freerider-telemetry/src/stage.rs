@@ -17,8 +17,8 @@
 //!
 //! Both switches live in one atomic byte. When both sinks are off,
 //! opening a guard costs one relaxed atomic load and dropping it one
-//! branch; the `bench-baseline` A/A triads (`trace_overhead`,
-//! `profile_overhead`) bound that cost.
+//! branch. That cost is inside every `bench-baseline` kernel row;
+//! `trace_overhead` and `profile_overhead` price turning a sink on.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -104,11 +104,6 @@ impl<T: AsRef<[u8]>> Mpdu<T> {
         self.addr(10)
     }
 
-    /// BSSID / Address 3.
-    pub fn addr3(&self) -> MacAddr {
-        self.addr(16)
-    }
-
     /// Sequence-control field.
     pub fn sequence(&self) -> u16 {
         let b = self.buffer.as_ref();

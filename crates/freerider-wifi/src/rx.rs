@@ -1023,12 +1023,6 @@ impl Receiver {
     }
 }
 
-/// Helper: number of DATA symbols for a decoded packet — re-exported for
-/// XOR-decoder alignment.
-pub fn data_symbols(signal: &Signal) -> usize {
-    signal.rate.data_symbols_for(signal.length)
-}
-
 #[allow(unused_imports)]
 #[cfg(test)]
 mod tests {

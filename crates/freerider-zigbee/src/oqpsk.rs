@@ -7,7 +7,7 @@
 //! neighbouring chips* — the PAPR property §3.2.2 of the paper says a tag
 //! flip momentarily violates, which is why one tag bit spans N symbols.
 
-use crate::{SAMPLES_PER_CHIP, SAMPLES_PER_SYMBOL};
+use crate::SAMPLES_PER_CHIP;
 use freerider_dsp::Complex;
 
 /// Half-sine pulse sample at sub-pulse position `k` of `2·SAMPLES_PER_CHIP`.
@@ -72,12 +72,6 @@ pub fn demodulate_chips(samples: &[Complex], offset: usize, n_chips: usize) -> O
         chips.push(acc / energy);
     }
     Some(chips)
-}
-
-/// Number of baseband samples occupied by `n` whole symbols (excluding the
-/// trailing Q-rail overhang).
-pub fn symbol_span(n: usize) -> usize {
-    n * SAMPLES_PER_SYMBOL
 }
 
 #[cfg(test)]

@@ -29,14 +29,22 @@ wall-clock rows, which bundle scheduling noise and workload drift on top
 of kernel time. A missing old baseline is still fine (first run: nothing
 to compare yet).
 
+An unknown `-`-prefixed argument exits 2 with the usage text.
+
 `--selftest` exercises the gate on synthetic documents -- a clean pair
 must pass and an injected per-stage regression must exit 1 -- and is run
 by scripts/verify.sh so the gate itself cannot silently rot.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
+
+# The docstring's summary line and usage lines.
+USAGE = "\n\n".join(__doc__.strip().split("\n\n")[:2])
+FLAGS = {"--selftest", "--assert-lanes", "--warn-only"}
 
 
 def load(path):
@@ -275,12 +283,24 @@ def selftest():
         print("bench_diff selftest: FAIL -- within-slack selected width flagged")
         return 1
 
+    # A misspelt flag is a usage error, not a silently strict run.
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--warn_only", "old.json", "new.json"])
+    if code != 2 or USAGE not in err.getvalue():
+        print("bench_diff selftest: FAIL -- unknown flag --warn_only not rejected")
+        return 1
+
     print("bench_diff selftest: OK (stage regression gated, warn-only semantics"
-          " hold, lane assertions gate)")
+          " hold, lane assertions gate, unknown flags rejected)")
     return 0
 
 
 def main(argv):
+    unknown = [a for a in argv if a.startswith("-") and a not in FLAGS]
+    if unknown:
+        print(f"bench_diff: unknown argument {unknown[0]}\n{USAGE}", file=sys.stderr)
+        return 2
     if "--selftest" in argv:
         return selftest()
     args = [a for a in argv if not a.startswith("--")]

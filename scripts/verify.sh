@@ -141,9 +141,18 @@ echo "==> lane sweep smoke (widths 1/2/4/8 present, defaults are measured winner
 # a genuinely wrong compiled-in default without flaking on jitter.
 FREERIDER_LANE_SLACK=25 python3 scripts/bench_diff.py \
     --assert-lanes /tmp/freerider_bench_lanes.json
+python3 - <<'EOF'
+import json
+with open("/tmp/freerider_bench_lanes.json") as f:
+    kernels = json.load(f)["kernels"]
+# The paper's own kernels (section 3): tag codeword translation, XOR decode.
+for row in ("tag/phase_translate_wifi_packet", "decoder/xor_majority_500_tag_bits"):
+    assert kernels.get(row, {}).get("median_ns", 0) > 0, f"missing kernel row {row}"
+print("paper kernel rows OK")
+EOF
 
-echo "==> fft64 selftest (bit-identical to the direct transform)"
-./target/release/bench-baseline --selftest-fft
+echo "==> fft64/ifft64 bit-identical to the direct transform (release profile)"
+cargo test --release --offline -q -p freerider-dsp specialized_64_path_is_bit_identical
 
 echo "==> freerider-serve smoke (ephemeral port, streamed job, clean shutdown)"
 SERVE_LOG=/tmp/freerider_serve_smoke.log
