@@ -227,6 +227,12 @@ impl DeploymentSim {
         let mut pending: Vec<(usize, f64)> = (0..n).map(|_| (cfg.report_bits, 0.0)).collect();
         let tag_ids: Vec<u32> = (0..n as u32).collect();
         let mut tag_reports: Vec<TagReport> = Vec::new();
+        // The round's slot buckets, counting-sorted in place: slot `s`
+        // holds `order[slot_end[s - 1]..slot_end[s]]` (from 0 for the
+        // first slot), in ascending tag order. Allocated once per run.
+        let mut contenders: Vec<usize> = Vec::with_capacity(n);
+        let mut order = vec![0usize; n];
+        let mut slot_end: Vec<usize> = Vec::new();
 
         for round in 0..cfg.rounds {
             if cancel.is_cancelled() {
@@ -259,8 +265,9 @@ impl DeploymentSim {
             // chosen slot.
             let merge_stage = freerider_telemetry::stage("net.sim.merge");
             profile::work("mac.slots", n_slots as u64);
-            let mut slots: Vec<Vec<usize>> = vec![Vec::new(); n_slots as usize];
-            let mut participants = 0usize;
+            contenders.clear();
+            slot_end.clear();
+            slot_end.resize(n_slots as usize + 1, 0);
             for i in 0..n {
                 if !servable[i] {
                     continue;
@@ -268,16 +275,29 @@ impl DeploymentSim {
                 if draws[i].heard {
                     plm_heard[i] += 1;
                     if pending[i].1 <= time {
-                        slots[draws[i].slot as usize].push(i);
-                        participants += 1;
+                        contenders.push(i);
+                        slot_end[draws[i].slot as usize + 1] += 1;
                     }
                 }
+            }
+            let participants = contenders.len();
+            // Prefix sums turn counts into each slot's start; placing the
+            // contenders in tag order advances every start to its end.
+            for s in 1..slot_end.len() {
+                slot_end[s] += slot_end[s - 1];
+            }
+            for &i in &contenders {
+                let at = &mut slot_end[draws[i].slot as usize];
+                order[*at] = i;
+                *at += 1;
             }
             let mut merge_rng = Rng64::derive(round_seed, MERGE_STREAM);
             let mut outcome = RoundOutcome::default();
             let round_dur = control_airtime + n_slots as f64 * cfg.slot_s;
             let mut delivered_slots = 0usize;
-            for occupants in &slots {
+            for s in 0..n_slots as usize {
+                let begin = if s == 0 { 0 } else { slot_end[s - 1] };
+                let occupants = &order[begin..slot_end[s]];
                 let winner = match occupants.len() {
                     0 => {
                         outcome.empty += 1;

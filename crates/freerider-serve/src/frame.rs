@@ -4,11 +4,13 @@
 //! 6-byte header carries the protocol version (connections with a version
 //! mismatch fail fast, before any payload is trusted), a frame type, and
 //! the payload length in bytes, big-endian. Payloads are UTF-8 JSON
-//! documents produced by [`freerider_telemetry::JsonWriter`] and parsed
-//! by [`freerider_telemetry::JsonValue`] — see [`crate::wire`].
+//! documents produced by [`freerider_telemetry::JsonWriter`] and read
+//! by [`freerider_telemetry::JsonReader`] — see [`crate::wire`].
 //!
-//! The length field is bounded by [`MAX_PAYLOAD`]: a corrupt or hostile
-//! header can never make the peer allocate unbounded memory.
+//! The length field is bounded by [`MAX_PAYLOAD`], and [`read_frame`]
+//! grows the payload buffer only as bytes arrive: a corrupt or hostile
+//! header can make the peer allocate neither unbounded memory nor more
+//! than a constant multiple of what was actually sent.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -21,6 +23,10 @@ pub const HEADER_LEN: usize = 6;
 
 /// Upper bound on a frame payload (16 MiB — a 100k-tag snapshot fits).
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
+
+/// The most [`read_frame`] reserves for a payload before its bytes
+/// arrive.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Every frame type the protocol speaks.
 ///
@@ -312,8 +318,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     if len > MAX_PAYLOAD {
         return Err(FrameError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Grow with the data: the header may claim more than the peer sends.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(FrameError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside frame payload",
+        )));
+    }
     freerider_telemetry::count("serve.frames.rx");
     Ok(Frame { kind, payload })
 }

@@ -149,7 +149,12 @@ impl Job {
         }
     }
 
-    fn finish(&self, state: JobState, terminal: Vec<Frame>) {
+    fn finish(&self, state: JobState, mut terminal: Vec<Frame>) {
+        // Retained until pruned, for up to MAX_RETAINED_FINISHED jobs:
+        // drop the encoder's spare capacity, up to half of each payload.
+        for f in &mut terminal {
+            f.payload.shrink_to_fit();
+        }
         lock(&self.meta).state = state;
         let mut subs = lock(&self.subs);
         subs.finished = true;

@@ -131,6 +131,12 @@ impl JsonWriter {
 /// Appends `s` as a quoted, escaped JSON string.
 pub fn escape_into(buf: &mut String, s: &str) {
     buf.push('"');
+    // Keys and most values need no escape: copy them whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        buf.push_str(s);
+        buf.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => buf.push_str("\\\""),

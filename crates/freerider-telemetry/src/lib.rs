@@ -20,9 +20,10 @@
 //! - **Event log** — leveled stderr logging gated by `FREERIDER_LOG`
 //!   ([`event!`]).
 //! - **JSON** — a hand-rolled RFC 8259 writer ([`JsonWriter`]) used by
-//!   `repro --json` for machine-readable results, and its inverse, a
-//!   zero-dependency parser ([`JsonValue`]) used by the `freerider-serve`
-//!   wire protocol to consume those documents.
+//!   `repro --json` for machine-readable results, and its decode twin, a
+//!   pull reader ([`JsonReader`]) that the `freerider-serve` wire
+//!   protocol decodes straight into typed messages. [`JsonValue`] builds
+//!   a document tree over the same reader for callers that want one.
 //! - **Stopwatch** — the one sanctioned wall-clock reader ([`Stopwatch`]).
 //!
 //! # Determinism contract
@@ -57,7 +58,7 @@ pub mod trace;
 pub use chrome::chrome_trace_json;
 pub use hist::{bin_index, bin_lower_bound, LogHistogram, BINS};
 pub use json::JsonWriter;
-pub use jsonv::{JsonError, JsonValue};
+pub use jsonv::{JsonError, JsonKind, JsonReader, JsonValue};
 pub use log::{Level, LOG_ENV};
 pub use profile::{ProfileData, StageStat, PROFILE_ENV};
 pub use registry::{count, count_n, record, reset, snapshot};

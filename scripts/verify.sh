@@ -199,6 +199,27 @@ EOF
 wait "$SERVE_PID"
 echo "serve smoke OK: $PROGRESS progress frames, $SNAPSHOTS snapshots, stats + health served, clean shutdown"
 
+echo "==> perfbench serve-deploy traced (served job correct; decode and sim allocations bounded)"
+# The served job's blocking path stays off the heap: the client's pull
+# decoders allocate only the decoded messages, and the simulator at most
+# once per round. The bounds are per op (627 frames, 600 rounds); the
+# JSON DOM decoder and per-round slot buckets made 99 483 and 41 471.
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve-deploy --seed 3 --seconds 2 --trace 1 \
+    --out /tmp/freerider_perfbench_serve >/dev/null
+python3 - <<'EOF'
+import json
+with open("/tmp/freerider_perfbench_serve/serve-deploy-seed3-trace1.json") as f:
+    doc = json.load(f)
+assert doc["correct"] is True, doc["errors"]
+m = {k: v["value"] for k, v in doc["metrics"].items()}
+assert m["client.decode.allocs"] <= 1000, m["client.decode.allocs"]
+assert m["net.sim.allocs"] <= 5000, m["net.sim.allocs"]
+print(f"serve-deploy OK: {doc['attempted']} ops, "
+      f"client.decode {m['client.decode.allocs']:.0f} and "
+      f"net.sim {m['net.sim.allocs']:.0f} allocations per op")
+EOF
+
 echo "==> bench baseline (diff vs benchmarks/latest.json)"
 # Full mode, not --quick: the committed baseline is a full run, and the
 # kernel rows of bench_diff fail hard, so the comparison must be

@@ -1,4 +1,4 @@
-//! Proof that the steady-state WiFi receive path is allocation-free.
+//! Allocation pins for the hot paths.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator for this
 //! test binary only. The first packet through a fresh [`RxScratch`] warms
@@ -7,6 +7,11 @@
 //! times. This pins the tentpole guarantee the benchmarks rely on — any
 //! future allocation sneaking into `receive_with` fails this test rather
 //! than silently costing 15% on `wifi/rx_1000B_warm`.
+//!
+//! The served-job path is pinned the same way: wire decoding allocates
+//! only the decoded message, the deployment simulator at most once per
+//! round, and a frame header cannot make `read_frame` allocate more than
+//! a constant beyond the bytes that actually arrived.
 //!
 //! Counting is armed per thread, so each test counts only its own
 //! allocations however the harness schedules the tests.
@@ -21,25 +26,35 @@ thread_local! {
     // allocates, so the allocator may consult them.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation if this thread has counting armed.
-fn note_alloc() {
+/// Counts one allocation of `bytes` if this thread has counting armed.
+fn note_alloc(bytes: usize) {
     let _ = COUNTING.try_with(|on| {
         if on.get() {
             let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
         }
     });
+}
+
+/// Runs `f` with counting armed on this thread; returns its result, the
+/// number of allocations it made and the bytes they asked for.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    ALLOCS.with(|n| n.set(0));
+    ALLOC_BYTES.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let r = f();
+    COUNTING.with(|on| on.set(false));
+    (r, ALLOCS.with(Cell::get), ALLOC_BYTES.with(Cell::get))
 }
 
 /// Runs `f` with counting armed on this thread; returns its result and
 /// the number of allocations it made.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    ALLOCS.with(|n| n.set(0));
-    COUNTING.with(|on| on.set(true));
-    let r = f();
-    COUNTING.with(|on| on.set(false));
-    (r, ALLOCS.with(Cell::get))
+    let (r, n, _) = measure(f);
+    (r, n)
 }
 
 struct CountingAlloc;
@@ -51,7 +66,7 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same contract as `System.alloc`; layout forwarded unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -63,13 +78,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // A realloc is a (re)allocation, so it counts toward the total.
     // SAFETY: same contract as `System.realloc`; args forwarded unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: same contract as `System.alloc_zeroed`; layout forwarded unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -164,5 +179,107 @@ fn warm_batch_kernels_are_allocation_free() {
     assert_eq!(
         n, 0,
         "warm RX kernels allocated {n} time(s); default-width Viterbi, the fft64 loop and the fused demap must be allocation-free"
+    );
+}
+
+/// A 10 × 6 grid of tags at 0.6 m pitch with a receiver 6 m either side
+/// of the exciter: the served benchmark job's office, shrunk.
+fn office() -> freerider::net::Deployment {
+    let mut d = freerider::net::Deployment::open_plan()
+        .with_receiver(6.0, 0.0)
+        .with_receiver(-6.0, 0.0);
+    for gy in 0..6 {
+        for gx in 0..10 {
+            d = d.with_tag(gx as f64 * 0.6 - 5.7, gy as f64 * 0.6 - 4.2);
+        }
+    }
+    d
+}
+
+#[test]
+fn wire_decoding_allocates_only_the_decoded_message() {
+    use freerider::net::{RoundProgress, TagReport};
+    use freerider::serve::wire;
+
+    let progress = wire::encode_progress(&RoundProgress {
+        round: 7,
+        rounds: 600,
+        time_s: 0.375,
+        n_slots: 16,
+        participants: 9,
+        delivered_slots: 5,
+        delivered_bits: 12_345,
+        reports_delivered: 42,
+    });
+    let job = wire::encode_job_id(9);
+    let tags: Vec<TagReport> = (0..300)
+        .map(|i| TagReport {
+            delivered_bits: 100 * i,
+            reports_delivered: i as usize,
+            mean_latency_s: (i % 3 != 0).then_some(0.125 * i as f64),
+            servable: i % 7 != 0,
+            plm_reach: 0.97,
+        })
+        .collect();
+    let snapshot = wire::encode_tags(25, &tags);
+    // Warm the thread.
+    wire::decode_progress(&progress).unwrap();
+    wire::decode_job_id(&job).unwrap();
+    wire::decode_tags(&snapshot).unwrap();
+
+    let (p, n) = count_allocs(|| wire::decode_progress(&progress));
+    assert_eq!(p.unwrap().delivered_bits, 12_345);
+    assert_eq!(n, 0, "decode_progress allocated {n} time(s)");
+    let (id, n) = count_allocs(|| wire::decode_job_id(&job));
+    assert_eq!(id.unwrap(), 9);
+    assert_eq!(n, 0, "decode_job_id allocated {n} time(s)");
+
+    // Only the result `Vec` grows: ⌈log₂ 300⌉ + 1 allocations at most.
+    let (decoded, n) = count_allocs(|| wire::decode_tags(&snapshot));
+    assert_eq!(decoded.unwrap(), (25, tags));
+    assert!(n <= 10, "decode_tags of 300 tags allocated {n} times");
+}
+
+#[test]
+fn deployment_sim_allocates_at_most_once_per_round() {
+    use freerider::net::{DeploymentSim, LinkModel, SimConfig};
+
+    let run = |rounds: usize| {
+        let sim = DeploymentSim::new(
+            office(),
+            LinkModel::default(),
+            SimConfig {
+                rounds,
+                ..SimConfig::default()
+            },
+        );
+        count_allocs(|| sim.run()).1
+    };
+    run(10); // warm the thread's telemetry keys
+    let (short, long) = (run(300), run(600));
+    // The 300 extra rounds may each allocate once (the executor's result
+    // `Vec`), plus a little slack for buffers that grow.
+    assert!(
+        long <= short + 300 + 16,
+        "600 rounds allocated {long} times, 300 rounds {short}"
+    );
+}
+
+#[test]
+fn a_frame_header_cannot_make_read_frame_allocate_what_never_arrives() {
+    use freerider::serve::frame::{read_frame, FrameError, FrameType, MAX_PAYLOAD, VERSION};
+
+    // A header announcing the largest payload, then ten bytes and EOF.
+    let mut wire = vec![VERSION, FrameType::Progress as u8];
+    wire.extend_from_slice(&MAX_PAYLOAD.to_be_bytes());
+    wire.extend_from_slice(&[b'{'; 10]);
+    let (r, _, bytes) = measure(|| read_frame(&mut std::io::Cursor::new(&wire)));
+    assert!(
+        matches!(r, Err(FrameError::Io(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+        "{r:?}"
+    );
+    assert!(
+        bytes < 128 * 1024,
+        "a truncated frame allocated {bytes} bytes"
     );
 }
