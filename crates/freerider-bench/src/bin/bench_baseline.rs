@@ -384,7 +384,6 @@ fn main() -> ExitCode {
     // Per-experiment wall-clock (quick workloads keep this step short).
     let mut experiments: Vec<(&'static str, f64)> = Vec::new();
     for e in freerider_bench::EXPERIMENTS {
-        freerider_telemetry::reset();
         let t0 = Instant::now();
         let _ = freerider_bench::run(e.name, true).expect("registry names all run");
         let wall_s = t0.elapsed().as_secs_f64();

@@ -5,7 +5,6 @@
 //! cargo run --release -p freerider-bench --bin repro -- fig10 fig17
 //! cargo run --release -p freerider-bench --bin repro -- --quick all
 //! cargo run --release -p freerider-bench --bin repro -- --list
-//! cargo run --release -p freerider-bench --bin repro -- --metrics fig10
 //! cargo run --release -p freerider-bench --bin repro -- --json out.json all
 //! cargo run --release -p freerider-bench --bin repro -- --trace trace.json fig10
 //! FREERIDER_THREADS=4 cargo run --release -p freerider-bench --bin repro -- fig10
@@ -15,15 +14,12 @@
 //! `FREERIDER_THREADS` pins the worker count (default: all cores), and the
 //! output is bit-identical for any setting.
 //!
-//! `--metrics` prints each experiment's counters and histograms;
 //! `--json <path>` writes a machine-readable results file (schema
-//! `freerider-repro/3`). In the JSON, the per-experiment `metrics` section
-//! (counters + histograms) is deterministic — byte-identical across worker
-//! counts — while `timing.wall_s` is wall-clock and varies run to run.
-//! Per-stage wall-clock time comes from `--profile` (below).
-//! Each experiment also carries a `forensics` section: the flight
-//! recorder's black-box dump of failed packets (empty unless tracing is
-//! on, see below).
+//! `freerider-repro/4`): each experiment's printed output, a `forensics`
+//! section — the flight recorder's black-box dump of failed packets
+//! (empty unless tracing is on, see below) — and `timing.wall_s`, which is
+//! wall-clock and varies run to run. Deterministic per-stage counts come
+//! from `--profile` (below).
 //!
 //! `--trace <path>` turns the per-packet flight recorder on (equivalent to
 //! `FREERIDER_TRACE=all` when the variable is unset; an explicit
@@ -37,15 +33,19 @@
 //! to `FREERIDER_PROFILE=1` when the variable is unset; an explicit
 //! environment setting wins), prints a stage-attribution table to stderr
 //! after the run, and writes the full report (schema `freerider-profile/1`)
-//! to `<path>`. The report's `work` counters are deterministic —
-//! byte-identical across `FREERIDER_THREADS` — while its `timing` section
-//! is wall-clock.
+//! to `<path>`. The report's stage counts and `work` counters are
+//! deterministic — byte-identical across `FREERIDER_THREADS` — while its
+//! `timing` section is wall-clock.
+//!
+//! When the reader of stdout hangs up (`repro --list | head`), the run
+//! stops quietly instead of panicking.
 
 use freerider_bench::micro::format_duration;
 use freerider_rt::Executor;
 use freerider_telemetry::profile;
 use freerider_telemetry::trace::{self, PacketRecord, TraceMode};
-use freerider_telemetry::{chrome_trace_json, JsonWriter, Snapshot};
+use freerider_telemetry::{chrome_trace_json, JsonWriter};
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -53,7 +53,6 @@ struct ExperimentResult {
     name: &'static str,
     description: &'static str,
     output: String,
-    metrics: Snapshot,
     wall_s: f64,
     /// Every packet record the flight recorder retained for this
     /// experiment (empty when tracing is off).
@@ -71,10 +70,8 @@ fn write_json(
 ) -> std::io::Result<()> {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.key("schema").string("freerider-repro/3");
+    w.key("schema").string("freerider-repro/4");
     w.key("quick").bool(quick);
-    // Worker count lives here, outside each experiment's `metrics`
-    // section, so those sections stay byte-identical across thread counts.
     w.key("workers").u64(workers as u64);
     w.key("experiments").begin_array();
     for r in results {
@@ -82,8 +79,6 @@ fn write_json(
         w.key("name").string(r.name);
         w.key("description").string(r.description);
         w.key("output").string(&r.output);
-        w.key("metrics");
-        r.metrics.write_metrics(&mut w);
         // The black box: deterministic (time-free, order-normalised)
         // post-mortems of failed packets. Always present so the schema is
         // stable; empty when tracing is off.
@@ -112,13 +107,12 @@ fn write_json(
     std::fs::write(path, w.finish())
 }
 
-const USAGE: &str = "usage: repro [--quick] [--metrics] [--json <path>] [--trace <path>] \
+const USAGE: &str = "usage: repro [--quick] [--json <path>] [--trace <path>] \
                      [--profile <path>] <experiment>... | all | --list";
 
 struct Args {
     quick: bool,
     list: bool,
-    metrics: bool,
     json_path: Option<String>,
     trace_path: Option<String>,
     profile_path: Option<String>,
@@ -129,7 +123,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         quick: false,
         list: false,
-        metrics: false,
         json_path: None,
         trace_path: None,
         profile_path: None,
@@ -140,7 +133,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         match a.as_str() {
             "--quick" | "-q" => args.quick = true,
             "--list" | "-l" => args.list = true,
-            "--metrics" | "-m" => args.metrics = true,
             "--json" => args.json_path = Some(path_arg("--json")?),
             "--trace" => args.trace_path = Some(path_arg("--trace")?),
             "--profile" => args.profile_path = Some(path_arg("--profile")?),
@@ -155,21 +147,35 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let Args {
-        quick,
-        list,
-        metrics,
-        json_path,
-        trace_path,
-        profile_path,
-        targets,
-    } = match parse_args(std::env::args().skip(1)) {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("repro: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
+    match run(args, &mut io::stdout()) {
+        Ok(code) => code,
+        // The reader hung up (`repro --list | head`): nothing is left to
+        // print to, so stop without a panic or a backtrace.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs the parsed command, printing results to `out`.
+fn run(args: Args, out: &mut impl Write) -> io::Result<ExitCode> {
+    let Args {
+        quick,
+        list,
+        json_path,
+        trace_path,
+        profile_path,
+        targets,
+    } = args;
     // --trace implies full tracing unless the user pinned a mode
     // explicitly via the environment (e.g. FREERIDER_TRACE=failures to
     // trace only the black box).
@@ -183,16 +189,16 @@ fn main() -> ExitCode {
     }
 
     if list {
-        println!("available experiments:");
+        writeln!(out, "available experiments:")?;
         let width = freerider_bench::EXPERIMENTS
             .iter()
             .map(|e| e.name.len())
             .max()
             .unwrap_or(0);
         for e in freerider_bench::EXPERIMENTS {
-            println!("  {:<width$}  {}", e.name, e.description);
+            writeln!(out, "  {:<width$}  {}", e.name, e.description)?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     // Expand `all` and drop duplicates (`repro all fig10` must not run
@@ -234,27 +240,20 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        freerider_telemetry::reset();
         trace::reset();
         let t0 = Instant::now();
-        let out = freerider_bench::run(name, quick).expect("registry names all run");
+        let output = freerider_bench::run(name, quick).expect("registry names all run");
         let wall_s = t0.elapsed().as_secs_f64();
-        let snap = freerider_telemetry::snapshot();
         // Eviction counters must be read before drain() clears them.
         let trace_stats = trace::drain_stats();
         let trace_records = trace::drain();
-        println!("{}", "=".repeat(78));
-        println!("{out}");
-        if metrics && !snap.is_empty() {
-            println!("--- telemetry: {name} ---");
-            print!("{}", snap.table());
-        }
+        writeln!(out, "{}", "=".repeat(78))?;
+        writeln!(out, "{output}")?;
         eprintln!("repro: {name} took {}", format_duration(t0.elapsed()));
         results.push(ExperimentResult {
             name: entry.name,
             description: entry.description,
-            output: out,
-            metrics: snap,
+            output,
             wall_s,
             trace_records,
             trace_evicted_failed: trace_stats.evicted_failed,
@@ -311,9 +310,9 @@ fn main() -> ExitCode {
             }
         }
     }
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

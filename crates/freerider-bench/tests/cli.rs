@@ -1,9 +1,10 @@
 //! The bench tools reject what they do not understand: an unknown
 //! `-`-prefixed argument exits 2 with the usage text instead of silently
-//! running a (full, multi-second) default workload.
+//! running a (full, multi-second) default workload. `repro` also stops
+//! quietly when the reader of its stdout hangs up.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -33,6 +34,7 @@ fn repro_rejects_unknown_flags() {
     for args in [
         &["--qiuck", "table1"][..],
         &["table1", "--lanes"],
+        &["--metrics", "table1"],
         &["--json"],
         &[],
     ] {
@@ -42,6 +44,28 @@ fn repro_rejects_unknown_flags() {
     }
     let out = run(repro, &["--quick", "table1"]);
     assert!(out.status.success(), "repro --quick table1 failed");
+}
+
+#[test]
+fn repro_stops_quietly_on_a_closed_stdout() {
+    // `repro --list | head`: the reader is gone before repro writes, so
+    // every write fails with a broken pipe. No race: the read end is
+    // closed before the child starts.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--list")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "repro --list exited {:?}: {stderr}",
+        out.status
+    );
+    assert!(!stderr.contains("panicked"), "repro panicked: {stderr}");
 }
 
 #[test]

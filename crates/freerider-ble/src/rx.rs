@@ -109,7 +109,6 @@ impl Receiver {
 
     /// Receives the first packet in `samples`.
     pub fn receive(&self, samples: &[Complex]) -> Result<RxPacket, RxError> {
-        telemetry::count("ble.rx.receive.calls");
         let _stage = telemetry::stage("ble.rx");
         profile::items(samples.len() as u64);
         let sync_stage = telemetry::stage("sync");
@@ -149,16 +148,16 @@ impl Receiver {
             }
         }
         if best.1 < self.config.detection_threshold {
-            telemetry::count("ble.rx.sync.misses");
+            profile::work("misses", 1);
             return Err(RxError::NoSync);
         }
-        telemetry::count("ble.rx.sync.locks");
+        profile::work("locks", 1);
         trace::value_f64("ble.rx.sync_score", best.1);
         let start = best.0;
 
         let rssi_dbm = db::mean_power_dbm(&samples[start..(start + span).min(samples.len())]);
         if rssi_dbm < self.config.sensitivity_dbm {
-            telemetry::count("ble.rx.sensitivity_drops");
+            profile::work("sensitivity_drops", 1);
             return Err(RxError::NoSync);
         }
         drop(sync_stage);
@@ -190,22 +189,15 @@ impl Receiver {
             whitened.push(bit_at(n).ok_or(RxError::Truncated(PacketError::Truncated))?);
         }
         let pdu_bits = Whitener::for_channel(self.config.channel).whiten(&whitened);
-        telemetry::count_n("ble.rx.slice.bits", total as u64);
         profile::work("slice.bits", total as u64);
         drop(slice_stage);
         let crc_stage = telemetry::stage("crc");
         let (packet, crc_valid, _) =
             BlePacket::parse_pdu_bits(&pdu_bits).map_err(RxError::Truncated)?;
+        profile::work(if crc_valid { "ok" } else { "bad" }, 1);
         drop(crc_stage);
-        telemetry::count(if crc_valid {
-            "ble.rx.crc.ok"
-        } else {
-            "ble.rx.crc.bad"
-        });
         trace::value_str("ble.rx.crc", if crc_valid { "ok" } else { "bad" });
-        telemetry::count("ble.rx.packets");
         profile::bits(8 * len as u64);
-        telemetry::record("ble.rx.payload_bytes", len as u64);
         telemetry::event!(
             Debug,
             "ble.rx",

@@ -196,8 +196,7 @@ impl Channel {
     /// phase noise, power scaling to the target RSSI, thermal noise.
     pub fn propagate(&mut self, tx_wave: &[Complex]) -> Vec<Complex> {
         let _stage = freerider_telemetry::stage("channel.propagate");
-        freerider_telemetry::count("channel.propagate.calls");
-        freerider_telemetry::count_n("channel.propagate.samples", tx_wave.len() as u64);
+        freerider_telemetry::profile::items(tx_wave.len() as u64);
         let gain = db::field_scale(self.rssi_dbm);
         let fade = self.fade_gain();
         let mut out = self.apply_multipath(tx_wave);
@@ -213,11 +212,7 @@ impl Channel {
     /// packet, so receivers must genuinely detect it.
     pub fn propagate_padded(&mut self, tx_wave: &[Complex], pad: usize) -> Vec<Complex> {
         let _stage = freerider_telemetry::stage("channel.propagate");
-        freerider_telemetry::count("channel.propagate.calls");
-        freerider_telemetry::count_n(
-            "channel.propagate.samples",
-            (tx_wave.len() + 2 * pad) as u64,
-        );
+        freerider_telemetry::profile::items((tx_wave.len() + 2 * pad) as u64);
         let gain = db::field_scale(self.rssi_dbm);
         let fade = self.fade_gain();
         let mut body = self.apply_multipath(tx_wave);

@@ -10,17 +10,17 @@
 use freerider_dsp::bits::majority;
 use freerider_dsp::Complex;
 use freerider_telemetry as telemetry;
-use freerider_telemetry::trace;
+use freerider_telemetry::{profile, trace};
 
-/// Records one majority-vote decision: the window size and how decisive
-/// the vote was (|ones − zeros|; 0 = a coin toss, `len` = unanimous).
-/// A tied vote is a decode failure class — the flight recorder marks the
-/// current packet failed so the black box retains its full trace.
-fn record_vote(kind: &'static str, window: &[u8]) {
+/// Records one majority-vote decision: a `windows` count on the open
+/// decode stage and how decisive the vote was (|ones − zeros|; 0 = a coin
+/// toss, `len` = unanimous). A tied vote is a decode failure class — the
+/// flight recorder marks the current packet failed so the black box
+/// retains its full trace.
+fn record_vote(window: &[u8]) {
     let ones = window.iter().filter(|&&b| b == 1).count();
     let margin = (2 * ones).abs_diff(window.len());
-    telemetry::count(kind);
-    telemetry::record("core.decode.vote_margin", margin as u64);
+    profile::work("windows", 1);
     trace::value_u64("core.decode.vote_margin", margin as u64);
     if margin == 0 {
         trace::fail("core.decode.vote_tie");
@@ -53,7 +53,7 @@ pub fn decode_wifi_binary(
         let window: Vec<u8> = (pos..pos + step_bits)
             .map(|k| original[k] ^ backscattered[k])
             .collect();
-        record_vote("core.decode.wifi.windows", &window);
+        record_vote(&window);
         out.push(majority(&window));
         pos += step_bits;
     }
@@ -82,7 +82,7 @@ pub fn decode_zigbee_binary(
         let window: Vec<u8> = (pos..pos + symbols_per_step)
             .map(|k| u8::from(original[k] != backscattered[k]))
             .collect();
-        record_vote("core.decode.zigbee.windows", &window);
+        record_vote(&window);
         out.push(majority(&window));
         pos += symbols_per_step;
     }
@@ -112,7 +112,7 @@ pub fn decode_ble_binary(
         let w: Vec<u8> = (pos..pos + window)
             .map(|k| original[k] ^ backscattered[k])
             .collect();
-        record_vote("core.decode.ble.windows", &w);
+        record_vote(&w);
         out.push(majority(&w));
         pos += window;
     }
@@ -161,7 +161,7 @@ pub fn decode_wifi_quaternary(
         prev_frac = Some(frac);
         let q = ((r - drift) / delta_theta).round() as i64;
         let value = q.rem_euclid(levels) as usize;
-        telemetry::count("core.decode.quaternary.windows");
+        profile::work("windows", 1);
         // Two bits, MSB first (matches PhaseTranslator's bit packing).
         out.push(((value >> 1) & 1) as u8);
         out.push((value & 1) as u8);

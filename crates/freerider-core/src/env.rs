@@ -88,7 +88,7 @@ pub const REGISTRY: &[EnvKnob] = &[
         doc: "Per-subscriber stream queue capacity. A full queue evicts \
               its oldest frame (drop-oldest backpressure) so slow readers \
               lose history, never freshness; evictions are counted in \
-              telemetry as serve.sub.evictions.",
+              the server's Stats counters as subs.evictions.",
     },
     EnvKnob {
         name: "FREERIDER_SERVE_STATS_EVERY",

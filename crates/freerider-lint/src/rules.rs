@@ -252,9 +252,11 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
 ];
 
 /// O1: file prefixes where `Relaxed` is sanctioned — the telemetry
-/// counters (deterministic work counts, monotonic aggregation) and the
-/// server's metrics registry. Everywhere else a Relaxed load/store needs
-/// a pragma arguing why no ordering is required.
+/// sink switches (one relaxed load per disabled hook) and the flight
+/// recorder's lane counter, plus the server's per-instance
+/// `ServerMetrics` counters and subscriber-queue tallies. Everywhere else
+/// a Relaxed load/store needs a pragma arguing why no ordering is
+/// required.
 const O1_RELAXED_SANCTIONED_PREFIXES: [&str; 1] = ["crates/freerider-telemetry/src/"];
 
 /// O1: individual sanctioned files outside the prefix list.

@@ -207,21 +207,12 @@ impl NetworkSim {
                 coordinator.adapt(&outcome);
             }
 
-            freerider_telemetry::count("mac.rounds");
             trace::value_u64("mac.round.n_slots", n_slots as u64);
             trace::value_u64("mac.round.participants", participants.len() as u64);
             trace::value_u64("mac.round.slots.success", outcome.success as u64);
             trace::value_u64("mac.round.slots.capture", outcome.capture as u64);
             trace::value_u64("mac.round.slots.collision", outcome.collision as u64);
             trace::value_u64("mac.round.slots.empty", outcome.empty as u64);
-            freerider_telemetry::count_n("mac.slots.success", outcome.success as u64);
-            freerider_telemetry::count_n("mac.slots.capture", outcome.capture as u64);
-            freerider_telemetry::count_n("mac.slots.collision", outcome.collision as u64);
-            freerider_telemetry::count_n("mac.slots.empty", outcome.empty as u64);
-            freerider_telemetry::count_n(
-                "mac.ctrl.missed",
-                (cfg.n_tags - participants.len()) as u64,
-            );
             let duration = cfg.carrier_sense_s
                 + control_airtime
                 + n_slots as f64 * cfg.slot_s

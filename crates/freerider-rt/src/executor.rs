@@ -88,11 +88,6 @@ impl Executor {
         M: Fn() -> S + Sync,
         F: Fn(usize, &T, &mut S) -> R + Sync,
     {
-        // Only deterministic quantities are counted here — recording the
-        // worker count would break the cross-thread-count metric
-        // equivalence this executor exists to provide.
-        freerider_telemetry::count("rt.map.calls");
-        freerider_telemetry::count_n("rt.map.items", items.len() as u64);
         // Flight-recorder scope for the whole fan-out. The id is a global
         // call counter: map() calls are issued serially by the
         // orchestration thread, so the numbering is deterministic for any

@@ -286,7 +286,6 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), FrameError>
     w.write_all(&header)?;
     w.write_all(&frame.payload)?;
     w.flush()?;
-    freerider_telemetry::count("serve.frames.tx");
     Ok(())
 }
 
@@ -328,7 +327,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
             "eof inside frame payload",
         )));
     }
-    freerider_telemetry::count("serve.frames.rx");
     Ok(Frame { kind, payload })
 }
 

@@ -287,7 +287,6 @@ impl JobManager {
             }),
         });
         lock(&self.jobs).insert(id, Arc::clone(&job));
-        freerider_telemetry::count("serve.jobs.submitted");
         self.metrics.job_submitted();
         if job.has_subs() {
             self.metrics.sub_attached();
@@ -340,12 +339,7 @@ impl JobManager {
     /// Requests cancellation of `id`. `None` = no such job; otherwise
     /// whether the request landed before the job finished.
     pub fn cancel(&self, id: JobId) -> Option<bool> {
-        let job = self.get(id)?;
-        let landed = job.cancel();
-        if landed {
-            freerider_telemetry::count("serve.jobs.cancelled");
-        }
-        Some(landed)
+        Some(self.get(id)?.cancel())
     }
 
     /// Cancels every unfinished job and joins all worker threads.
@@ -455,7 +449,6 @@ fn run_job(
             let result = Frame::new(FrameType::JobResult, wire::encode_report(&report));
             metrics.job_finished(JobState::Done);
             job.finish(JobState::Done, vec![result, end]);
-            freerider_telemetry::count("serve.jobs.completed");
         }
         Ok(None) => {
             metrics.job_finished(JobState::Cancelled);

@@ -1,14 +1,14 @@
-//! The per-server metrics registry behind the `Stats`/`Health` frames.
+//! The per-server metrics behind the `Stats`/`Health` frames — the one
+//! place the service counts frames, sessions, jobs and queue evictions.
 //!
 //! Every [`crate::server::Server`] / [`crate::server::Loopback`] owns one
-//! [`ServerMetrics`] (via its [`crate::job::JobManager`]) — deliberately
-//! *not* the process-global `freerider-telemetry` registry, so two
-//! servers in one process (common in tests) never see each other's
-//! traffic. Counters are lock-free atomics on the hot path; the one lock
+//! [`ServerMetrics`] (via its [`crate::job::JobManager`]) — per instance,
+//! not process-global, so two servers in one process (common in tests)
+//! never see each other's traffic. Counters are lock-free atomics on the hot path; the one lock
 //! is around the frame-handling latency histogram, taken once per
 //! request frame.
 //!
-//! The determinism contract follows the PR 2 telemetry split: the
+//! The determinism contract matches the stage profiler's: the
 //! **counters** section of a [`StatsReport`] is a pure function of the
 //! frames a server exchanged and the jobs it ran, so for the same
 //! workload it is byte-identical across `FREERIDER_THREADS` once

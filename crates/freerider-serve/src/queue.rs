@@ -6,8 +6,8 @@
 //! When a queue is full the *oldest* frame is evicted — late-joining or
 //! slow readers lose history, never freshness, and the job thread never
 //! blocks on a slow consumer. Evictions are counted (per queue and in the
-//! telemetry registry as `serve.sub.evictions`) so load tests can prove
-//! backpressure engaged.
+//! owning server's `Stats` counters as `subs.evictions`) so load tests
+//! can prove backpressure engaged.
 
 use crate::frame::Frame;
 use crate::metrics::ServerMetrics;
@@ -35,9 +35,9 @@ pub struct SubQueue {
     cap: usize,
     pushed: AtomicU64,
     evicted: AtomicU64,
-    /// The owning server's registry, when this queue was handed out by a
+    /// The owning server's metrics, when this queue was handed out by a
     /// [`crate::job::JobManager`]; bare `SubQueue::new` queues (unit
-    /// tests) have none and only feed the process-global telemetry.
+    /// tests) have none and only keep their own tallies.
     metrics: Option<Arc<ServerMetrics>>,
 }
 
@@ -73,14 +73,12 @@ impl SubQueue {
         if g.frames.len() == self.cap {
             g.frames.pop_front();
             self.evicted.fetch_add(1, Ordering::Relaxed);
-            freerider_telemetry::count("serve.sub.evictions");
             if let Some(m) = &self.metrics {
                 m.sub_evicted();
             }
         }
         g.frames.push_back(frame);
         self.pushed.fetch_add(1, Ordering::Relaxed);
-        freerider_telemetry::record("serve.sub.queue_depth", g.frames.len() as u64);
         if let Some(m) = &self.metrics {
             m.sub_frame_pushed(g.frames.len() as u64);
         }

@@ -365,7 +365,6 @@ impl Server {
                     i += 1;
                 }
             }
-            freerider_telemetry::count("serve.sessions");
             let peer = socket.try_clone().ok();
             let mgr = Arc::clone(&self.mgr);
             let stop = Arc::clone(&self.stop);

@@ -2,10 +2,10 @@
 //!
 //! Bin `0` holds the value `0`; bin `k ≥ 1` holds values in
 //! `[2^(k-1), 2^k)`. 65 bins cover the whole `u64` range, so recording
-//! never saturates or reallocates — the collector hot path is a couple of
-//! array writes. Because every field is an integer and merging is
-//! element-wise addition, merged histograms are bit-identical no matter
-//! how the samples were distributed over worker threads.
+//! never saturates or reallocates — recording is a couple of array
+//! writes. Because every field is an integer and merging is element-wise
+//! addition, merged histograms are bit-identical no matter how the
+//! samples were distributed over worker threads.
 
 /// Number of bins: one for zero plus one per possible leading-bit
 /// position.
@@ -73,14 +73,6 @@ impl LogHistogram {
         self.count == 0
     }
 
-    /// Mean sample value (NaN while empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        self.sum as f64 / self.count as f64
-    }
-
     /// Element-wise merge: counts, sums and bins add; min/max combine.
     /// Addition is commutative and associative, so any merge order over
     /// any partition of the samples yields the same histogram.
@@ -146,26 +138,6 @@ impl LogHistogram {
         self.percentile(99.0)
     }
 
-    /// Writes the histogram as the workspace's standard JSON object:
-    /// `{"count":…,"sum":…,"min":…,"max":…,"bins":[[lo,count]…]}`, with
-    /// `min` reported as 0 while empty. Integer fields only and bins in
-    /// value order, so the bytes are deterministic — this is the shape
-    /// both `Snapshot::write_metrics` and the `freerider-serve` stats
-    /// frame emit.
-    pub fn write_json(&self, w: &mut crate::json::JsonWriter) {
-        w.begin_object();
-        w.key("count").u64(self.count);
-        w.key("sum").u64(self.sum);
-        w.key("min").u64(if self.is_empty() { 0 } else { self.min });
-        w.key("max").u64(self.max);
-        w.key("bins").begin_array();
-        for (lo, c) in self.nonzero_bins() {
-            w.begin_array().u64(lo).u64(c).end_array();
-        }
-        w.end_array();
-        w.end_object();
-    }
-
     /// `(bin lower bound, count)` for every non-empty bin, in value order.
     pub fn nonzero_bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.bins
@@ -197,7 +169,6 @@ mod tests {
     fn record_tracks_summary_stats() {
         let mut h = LogHistogram::new();
         assert!(h.is_empty());
-        assert!(h.mean().is_nan());
         for v in [3u64, 0, 17, 3] {
             h.record(v);
         }
@@ -205,7 +176,6 @@ mod tests {
         assert_eq!(h.sum, 23);
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 17);
-        assert!((h.mean() - 5.75).abs() < 1e-12);
         let bins: Vec<(u64, u64)> = h.nonzero_bins().collect();
         assert_eq!(bins, vec![(0, 1), (2, 2), (16, 1)]);
     }

@@ -1,14 +1,16 @@
-//! The hierarchical stage profiler.
+//! The hierarchical stage profiler — the workspace's one aggregate
+//! counter sink.
 //!
-//! The flat counters of [`crate::registry`] say how much work each stage
-//! did; the flight recorder ([`crate::trace`]) says what happened to one
-//! packet. Neither answers the question a hot-path overhaul starts with:
-//! *where does the time go, stage by stage, as a tree?* This module does.
-//! [`crate::stage()`] guards build per-thread call trees; every invocation
+//! The flight recorder ([`crate::trace`]) says what happened to one
+//! packet; this module says what happened to all of them, and where the
+//! time went, stage by stage, as a tree. [`crate::stage()`] guards build
+//! per-thread call trees; every invocation bumps the stage's count and
 //! records its wall-clock into the stage's log₂ histogram, and
-//! [`work`] / [`items`] / [`bits`] attach **deterministic cost counters**
-//! (FFT butterflies, Viterbi ACS ops, demapped symbols, CRC bytes) and
-//! throughput denominators to the innermost open stage.
+//! [`work`] / [`items`] / [`bits`] attach **deterministic counters** to
+//! the innermost open stage: cost counters (FFT butterflies, Viterbi ACS
+//! ops, demapped symbols, CRC bytes), branch outcomes that nothing else
+//! aggregates (`wifi.rx/detect` → `ltf_rejects`, `locks`), and the
+//! throughput denominators.
 //!
 //! Stages are identified by their slash-joined path from the root
 //! (`wifi.rx/decode/viterbi`), so the attribution report is a tree keyed

@@ -1,11 +1,12 @@
 //! The per-packet flight recorder.
 //!
-//! Aggregate metrics ([`crate::snapshot`]) answer "how many frames failed";
-//! this module answers "why did *this* frame fail": every packet that flows
-//! through a link opens a [`packet`] scope, and the RX chain, the channel,
-//! the XOR decoder and the MAC record structured span/value events into it
-//! (stage enter/exit from [`crate::stage()`] guards, CFO estimate,
-//! per-subcarrier EVM, Viterbi path metric, vote margins, slot outcomes).
+//! The stage profiler's counters ([`crate::profile`]) answer "how many
+//! frames failed"; this module answers "why did *this* frame fail": every
+//! packet that flows through a link opens a [`packet`] scope, and the RX
+//! chain, the channel, the XOR decoder and the MAC record structured
+//! span/value events into it (stage enter/exit from [`crate::stage()`]
+//! guards, CFO estimate, per-subcarrier EVM, Viterbi path metric, vote
+//! margins, slot outcomes).
 //! When the scope closes, the recorded [`PacketRecord`] is retained or
 //! discarded according to the trace mode:
 //!

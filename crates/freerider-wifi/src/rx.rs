@@ -428,7 +428,6 @@ impl Receiver {
     /// the start of the buffer locks after a few hundred metric values
     /// instead of paying the full 64× sweep.
     fn detect_with(&self, samples: &[Complex], scratch: &mut RxScratch) -> Result<usize, RxError> {
-        telemetry::count("wifi.rx.detect.calls");
         let _stage = telemetry::stage("detect");
         if samples.len() < PREAMBLE_LEN + SYMBOL_LEN {
             return Err(RxError::NoPreamble);
@@ -472,10 +471,10 @@ impl Receiver {
             let m: f64 = scratch.dc[p..p + SUSTAIN].iter().sum::<f64>() / SUSTAIN as f64;
             let span_end = (p + 160).min(samples.len());
             let measured = db::mean_power_dbm(&samples[p..span_end]);
-            telemetry::count("wifi.rx.detect.stf_plateaus");
+            profile::work("stf_plateaus", 1);
             let signal_est = measured + 10.0 * m.clamp(1e-6, 1.0).log10();
             if signal_est < self.config.sensitivity_dbm {
-                telemetry::count("wifi.rx.detect.sensitivity_drops");
+                profile::work("sensitivity_drops", 1);
                 // Skip this burst and keep hunting (a later, stronger
                 // packet may still be decodable).
                 p += SUSTAIN;
@@ -512,11 +511,11 @@ impl Receiver {
             // Multipath disperses the peak but a real preamble keeps a
             // dominant component; require a modest floor to reject noise.
             if best.1 < 0.55 {
-                telemetry::count("wifi.rx.detect.ltf_rejects");
+                profile::work("ltf_rejects", 1);
                 p += SUSTAIN;
                 continue;
             }
-            telemetry::count("wifi.rx.detect.locks");
+            profile::work("locks", 1);
             // Timing advance: lock a few samples *early*, inside the
             // cyclic prefix. If the correlator locked onto a delayed
             // multipath component, a late FFT window would straddle the
@@ -540,7 +539,7 @@ impl Receiver {
     ) -> Result<(), RxError> {
         let _stage = telemetry::stage("decode");
         if ltf1 + 2 * FFT_SIZE + SYMBOL_LEN > samples.len() {
-            telemetry::count("wifi.rx.truncated");
+            profile::work("truncated", 1);
             return Err(RxError::Truncated);
         }
         // --- Fine CFO from the repeated long symbols. ---
@@ -550,10 +549,6 @@ impl Receiver {
             acc += samples[ltf1 + FFT_SIZE + k] * samples[ltf1 + k].conj();
         }
         let cfo = acc.arg() / (2.0 * std::f64::consts::PI * FFT_SIZE as f64);
-        telemetry::count("wifi.rx.cfo.estimates");
-        // |CFO| in parts-per-billion of the sample rate: integer so it can
-        // live in the deterministic histogram section.
-        telemetry::record("wifi.rx.cfo.abs_ppb", (cfo.abs() * 1e9).round() as u64);
         trace::value_f64("wifi.rx.cfo", cfo);
 
         // CFO-correct lazily: each corrected sample depends only on its own
@@ -594,14 +589,12 @@ impl Receiver {
             let pre_start = ltf1.saturating_sub(192);
             db::mean_power_dbm(&samples[pre_start..ltf1 + 2 * FFT_SIZE])
         };
-
-        telemetry::count("wifi.rx.chanest.estimates");
         drop(chanest_stage);
 
         // --- SIGNAL symbol. ---
         let signal_stage = telemetry::stage("signal");
         if avail - 2 * FFT_SIZE < SYMBOL_LEN {
-            telemetry::count("wifi.rx.truncated");
+            profile::work("truncated", 1);
             return Err(RxError::Truncated);
         }
         // Decision-directed residual-CFO tracker: the one-shot LTF CFO
@@ -678,28 +671,23 @@ impl Receiver {
             .deinterleave_symbol_soft_into(&scratch.llrs, &mut scratch.sig_coded);
         let (sig_decoded, sig_metric) =
             viterbi_decode_soft_scratch(&scratch.sig_coded, CodeRate::Half, &mut scratch.viterbi);
-        let sig_bits = sig_decoded.len();
         let mut sig24 = [0u8; 24];
         sig24.copy_from_slice(&sig_decoded[..24]);
         trace::value_f64("wifi.rx.signal.viterbi_metric", sig_metric);
-        telemetry::count("wifi.rx.demap.symbols");
-        telemetry::count("wifi.rx.deinterleave.symbols");
-        telemetry::count("wifi.rx.viterbi.decodes");
-        telemetry::count_n("wifi.rx.viterbi.bits", sig_bits as u64);
         let signal = Signal::decode(&sig24).map_err(|e| {
-            telemetry::count("wifi.rx.signal.bad");
+            profile::work("bad", 1);
             telemetry::event!(Debug, "wifi.rx", "SIGNAL field rejected: {e:?}");
             trace::value_str("wifi.rx.signal", "bad");
             RxError::BadSignal(e)
         })?;
-        telemetry::count("wifi.rx.signal.ok");
+        profile::work("ok", 1);
         drop(signal_stage);
 
         // --- DATA symbols: packed FFT → SoA equalise → fused demap. ---
         let rate = signal.rate;
         let n_sym = rate.data_symbols_for(signal.length);
         if avail - 2 * FFT_SIZE < SYMBOL_LEN * (1 + n_sym) {
-            telemetry::count("wifi.rx.truncated");
+            profile::work("truncated", 1);
             return Err(RxError::Truncated);
         }
         let equalize_stage = telemetry::stage("equalize");
@@ -709,8 +697,6 @@ impl Receiver {
         if scratch.il_data.block_size() != n_cbps {
             scratch.il_data = Interleaver::new(n_cbps, rate.modulation().bits_per_subcarrier());
         }
-        telemetry::count_n("wifi.rx.equalize.symbols", n_sym as u64);
-        telemetry::count_n("wifi.rx.fft.symbols", n_sym as u64);
         profile::work("equalize.subcarriers", (n_sym * N_DATA_CARRIERS) as u64);
         // Stage 1 — FFT: CFO-correct and pack every CP-stripped symbol
         // window, then transform each 64-sample block in place with
@@ -906,8 +892,6 @@ impl Receiver {
             scratch.il_data.inverse_map(),
             &mut scratch.coded_llrs,
         );
-        telemetry::count_n("wifi.rx.demap.symbols", n_sym as u64);
-        telemetry::count_n("wifi.rx.deinterleave.symbols", n_sym as u64);
         drop(equalize_stage);
         let viterbi_stage = telemetry::stage("viterbi");
         let (scrambled, path_metric) = viterbi_decode_soft_scratch(
@@ -916,8 +900,6 @@ impl Receiver {
             &mut scratch.viterbi,
         );
         trace::value_f64("wifi.rx.data.viterbi_metric", path_metric);
-        telemetry::count("wifi.rx.viterbi.decodes");
-        telemetry::count_n("wifi.rx.viterbi.bits", scrambled.len() as u64);
         drop(viterbi_stage);
 
         // Per-subcarrier EVM vs the nearest constellation point, averaged
@@ -955,16 +937,10 @@ impl Receiver {
         let psdu_bits = &scratch.packet.data_bits[16..16 + 8 * signal.length];
         bits::bits_to_bytes_lsb_into(psdu_bits, &mut scratch.packet.psdu);
         let fcs_valid = freerider_coding::crc::check_crc32(&scratch.packet.psdu);
+        profile::work(if fcs_valid { "ok" } else { "bad" }, 1);
         drop(fcs_stage);
-        telemetry::count(if fcs_valid {
-            "wifi.rx.fcs.ok"
-        } else {
-            "wifi.rx.fcs.bad"
-        });
         trace::value_str("wifi.rx.fcs", if fcs_valid { "ok" } else { "bad" });
-        telemetry::count("wifi.rx.packets");
         profile::bits(8 * signal.length as u64);
-        telemetry::record("wifi.rx.psdu_bytes", signal.length as u64);
         telemetry::event!(
             Debug,
             "wifi.rx",
@@ -996,8 +972,6 @@ impl Receiver {
         points: &mut [Complex; N_DATA_CARRIERS],
     ) -> f64 {
         debug_assert_eq!(symbol.len(), SYMBOL_LEN);
-        telemetry::count("wifi.rx.equalize.symbols");
-        telemetry::count("wifi.rx.fft.symbols");
         profile::work("equalize.subcarriers", N_DATA_CARRIERS as u64);
         let carriers = demodulate_symbol(&symbol[..SYMBOL_LEN]);
         let polarity = pilot_polarity()[symbol_index % 127];

@@ -109,7 +109,6 @@ impl Receiver {
 
     /// Receives the first frame found in `samples`.
     pub fn receive(&self, samples: &[Complex]) -> Result<RxPacket, RxError> {
-        telemetry::count("zigbee.rx.receive.calls");
         let _stage = telemetry::stage("zigbee.rx");
         profile::items(samples.len() as u64);
         // --- Detect the preamble. ---
@@ -120,7 +119,7 @@ impl Receiver {
             Some(i) => i,
             None => return Err(RxError::NoPreamble),
         };
-        telemetry::count("zigbee.rx.preamble.locks");
+        profile::work("preamble.locks", 1);
         // Refine to the local peak.
         let mut best = i;
         for j in i..(i + 4).min(c.len()) {
@@ -134,7 +133,7 @@ impl Receiver {
             &samples[start..(start + 8 * SAMPLES_PER_SYMBOL).min(samples.len())],
         );
         if rssi_dbm < self.config.sensitivity_dbm {
-            telemetry::count("zigbee.rx.sensitivity_drops");
+            profile::work("sensitivity_drops", 1);
             return Err(RxError::NoPreamble);
         }
         drop(detect_stage);
@@ -179,10 +178,10 @@ impl Receiver {
             }
         }
         let sfd_at = sfd_at.ok_or_else(|| {
-            telemetry::count("zigbee.rx.sfd.misses");
+            profile::work("sfd.misses", 1);
             RxError::NoSfd
         })?;
-        telemetry::count("zigbee.rx.sfd.locks");
+        profile::work("sfd.locks", 1);
 
         // --- PHR. ---
         let phr_idx = sfd_at + 2;
@@ -205,7 +204,6 @@ impl Receiver {
         }
         let (psdu_symbols, symbol_scores) =
             own_symbol_buffers(&sym_arr[..n_psdu_sym], &score_arr[..n_psdu_sym]);
-        telemetry::count_n("zigbee.rx.despread.symbols", (4 + n_psdu_sym) as u64);
         profile::work("despread.symbols", (4 + n_psdu_sym) as u64);
         if trace::in_packet() && !symbol_scores.is_empty() {
             trace::value_f64s("zigbee.rx.symbol_scores", &symbol_scores);
@@ -215,16 +213,10 @@ impl Receiver {
         let psdu = crate::frame::symbols_to_bytes(&psdu_symbols);
         let ppdu = Ppdu { psdu };
         let fcs_valid = ppdu.fcs_valid();
-        telemetry::count(if fcs_valid {
-            "zigbee.rx.fcs.ok"
-        } else {
-            "zigbee.rx.fcs.bad"
-        });
+        profile::work(if fcs_valid { "ok" } else { "bad" }, 1);
         drop(fcs_stage);
         trace::value_str("zigbee.rx.fcs", if fcs_valid { "ok" } else { "bad" });
-        telemetry::count("zigbee.rx.packets");
         profile::bits(8 * psdu_len as u64);
-        telemetry::record("zigbee.rx.psdu_bytes", psdu_len as u64);
         telemetry::event!(
             Debug,
             "zigbee.rx",

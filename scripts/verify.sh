@@ -51,10 +51,12 @@ python3 - <<'EOF'
 import json
 with open("/tmp/freerider_repro_smoke.json") as f:
     doc = json.load(f)
-assert doc["schema"] == "freerider-repro/3", doc.get("schema")
+assert doc["schema"] == "freerider-repro/4", doc.get("schema")
 assert doc["experiments"], "no experiments in repro JSON"
 for e in doc["experiments"]:
     assert e["name"] and e["output"], e.get("name")
+    # Deterministic counts live in the profile report only.
+    assert "metrics" not in e, f"{e['name']}: stale metrics section"
     # Stage wall-clock lives in the profile report only.
     assert sorted(e["timing"]) == ["wall_s"], e["timing"]
     assert "forensics" in e, f"{e['name']}: missing forensics section"
@@ -108,6 +110,9 @@ work_total = sum(sum(s["work"].values()) for s in stages)
 assert work_total > 0, "no work counters recorded"
 viterbi = by_path.get("wifi.rx/decode/viterbi")
 assert viterbi and viterbi["work"].get("viterbi.acs_ops", 0) > 0, viterbi
+# Branch outcomes are work counters on the stage that decides them.
+detect = by_path.get("wifi.rx/detect")
+assert detect and detect["work"].get("locks", 0) > 0, detect
 # Tree invariant: each parent's recorded time bounds the sum of its
 # children (scope nesting guarantees this; floor-truncation only helps).
 for path, s in by_path.items():
@@ -195,9 +200,21 @@ print(f"stats JSON OK: {len(c)} counters, "
 EOF
 ./target/release/freerider-client --addr "$SERVE_ADDR" health >/dev/null \
     || { echo "serve smoke: health request failed"; kill "$SERVE_PID" 2>/dev/null; exit 1; }
+# The read-only client commands against the finished job.
+JOB=$(sed -n 's/^job \([0-9][0-9]*\) accepted.*/\1/p' /tmp/freerider_serve_stream.log)
+[ -n "$JOB" ] || { echo "serve smoke: no job id in the submit output"; kill "$SERVE_PID" 2>/dev/null; exit 1; }
+./target/release/freerider-client --addr "$SERVE_ADDR" status "$JOB" \
+    | grep -q "^job $JOB done round 25/25 tags 50$" \
+    || { echo "serve smoke: status $JOB is not done 25/25"; kill "$SERVE_PID" 2>/dev/null; exit 1; }
+./target/release/freerider-client --addr "$SERVE_ADDR" list \
+    | grep -q "^job $JOB done " \
+    || { echo "serve smoke: list does not show job $JOB done"; kill "$SERVE_PID" 2>/dev/null; exit 1; }
+./target/release/freerider-client --addr "$SERVE_ADDR" top --iters 1 --interval 0.1 \
+    | grep -q 'freerider-serve  up ' \
+    || { echo "serve smoke: top did not report the server up"; kill "$SERVE_PID" 2>/dev/null; exit 1; }
 ./target/release/freerider-client --addr "$SERVE_ADDR" shutdown >/dev/null
 wait "$SERVE_PID"
-echo "serve smoke OK: $PROGRESS progress frames, $SNAPSHOTS snapshots, stats + health served, clean shutdown"
+echo "serve smoke OK: $PROGRESS progress frames, $SNAPSHOTS snapshots, stats + health + status + list + top served, clean shutdown"
 
 echo "==> perfbench serve-deploy traced (served job correct; decode and sim allocations bounded)"
 # The served job's blocking path stays off the heap: the client's pull

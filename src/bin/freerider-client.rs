@@ -71,6 +71,14 @@ impl Args {
         self.flags.contains_key(name)
     }
 
+    /// The first flag given that is not in `known`, if any.
+    fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+        self.flags
+            .keys()
+            .map(String::as_str)
+            .find(|k| !known.contains(k))
+    }
+
     fn job_id(&self, cmd: &str) -> Result<u64, String> {
         self.positional
             .get(1)
@@ -286,8 +294,18 @@ fn cmd_top(client: &mut Client<TcpStream>, a: &Args) -> Result<(), String> {
     }
 }
 
-fn run() -> Result<(), String> {
-    let a = Args::parse(std::env::args().skip(1))?;
+/// The flags each subcommand takes besides the global `--addr`; any
+/// other flag is a usage error.
+fn known_flags(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "submit" => &["addr", "tags", "rounds", "seed", "snapshot-every", "watch"],
+        "stats" => &["addr", "json"],
+        "top" => &["addr", "interval", "iters"],
+        _ => &["addr"],
+    }
+}
+
+fn run(a: &Args) -> Result<(), String> {
     let addr = a.get("addr", DEFAULT_ADDR.to_string())?;
     let cmd = a.positional.first().map(String::as_str).unwrap_or("");
     if matches!(cmd, "" | "help" | "--help") {
@@ -296,7 +314,7 @@ fn run() -> Result<(), String> {
     }
     let mut client = Client::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
     match cmd {
-        "submit" => cmd_submit(&mut client, &a),
+        "submit" => cmd_submit(&mut client, a),
         "status" => {
             let s = client
                 .status(a.job_id("status")?)
@@ -333,7 +351,7 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        "stats" => cmd_stats(&mut client, &a),
+        "stats" => cmd_stats(&mut client, a),
         "health" => {
             let h = client.health().map_err(|e| e.to_string())?;
             println!(
@@ -347,7 +365,7 @@ fn run() -> Result<(), String> {
             );
             Ok(())
         }
-        "top" => cmd_top(&mut client, &a),
+        "top" => cmd_top(&mut client, a),
         "shutdown" => {
             client.shutdown().map_err(|e| e.to_string())?;
             println!("server shutting down");
@@ -377,7 +395,20 @@ fn usage() -> &'static str {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let a = match Args::parse(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    // Checked before `run` connects, so a typo never reaches the server.
+    let cmd = a.positional.first().map(String::as_str).unwrap_or("");
+    if let Some(flag) = a.unknown_flag(known_flags(cmd)) {
+        eprintln!("error: unknown flag --{flag} for `{cmd}`\n\n{}", usage());
+        return ExitCode::from(2);
+    }
+    match run(&a) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());

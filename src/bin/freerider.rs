@@ -68,6 +68,14 @@ mod args {
         pub fn get_all(&self, name: &str) -> &[String] {
             self.flags.get(name).map(Vec::as_slice).unwrap_or(&[])
         }
+
+        /// The first flag given that is not in `known`, if any.
+        pub fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+            self.flags
+                .keys()
+                .map(String::as_str)
+                .find(|k| !known.contains(k))
+        }
     }
 
     /// Parses `x,y` into a coordinate pair.
@@ -307,6 +315,24 @@ fn cmd_power(_a: &args::Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags each subcommand takes; any other flag is a usage error.
+fn known_flags(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "link" => &["distance", "packets", "payload", "seed"],
+        "survey" => &["distances", "packets", "payload", "seed"],
+        "coverage" => &["rx", "exciter", "power", "grid", "cell"],
+        "serve" => &[
+            "addr",
+            "max-subs",
+            "queue",
+            "threads",
+            "stats-every",
+            "trace-out",
+        ],
+        _ => &[],
+    }
+}
+
 fn usage() -> &'static str {
     "freerider — backscatter communication using commodity radios\n\
      \n\
@@ -336,6 +362,10 @@ fn main() -> ExitCode {
         }
     };
     let cmd = parsed.positional.first().map(String::as_str).unwrap_or("");
+    if let Some(flag) = parsed.unknown_flag(known_flags(cmd)) {
+        eprintln!("error: unknown flag --{flag} for `{cmd}`\n\n{}", usage());
+        return ExitCode::from(2);
+    }
     let result = match cmd {
         "link" => cmd_link(&parsed),
         "survey" => cmd_survey(&parsed),

@@ -24,7 +24,7 @@
 //! | [`serve`] | `freerider-serve` | the deployment simulator as a streaming framed-TCP service |
 //! | [`core`] | `freerider-core` | end-to-end links, XOR decoding, every §4 experiment |
 //! | [`rt`] | `freerider-rt` | deterministic RNG streams + parallel sweep executor |
-//! | [`telemetry`] | `freerider-telemetry` | counters, histograms, the stage guard (flight recorder + profiler), event log, JSON output |
+//! | [`telemetry`] | `freerider-telemetry` | the stage guard (flight recorder + stage profiler, the one counter sink), histograms, event log, JSON output |
 //!
 //! ## Quickstart
 //!

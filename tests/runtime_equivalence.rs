@@ -14,9 +14,9 @@ use freerider::core::experiments::{
 use freerider::rt::Executor;
 use std::sync::{Mutex, MutexGuard};
 
-/// All tests in this binary record into the process-global telemetry
-/// registry, so the telemetry-equivalence test below must not run while
-/// another test is emitting events. One shared lock serialises them.
+/// The flight recorder and the stage profiler are process-global, so the
+/// tests that switch them on must not run while another test is emitting
+/// events. One shared lock serialises every test in this binary.
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
 fn telemetry_guard() -> MutexGuard<'static, ()> {
@@ -100,7 +100,6 @@ fn trace_forensics_are_identical_across_worker_counts() {
     // the black box.
     let distances = [2.0, 34.0, 42.0];
     let run = |ex: Executor| {
-        freerider::telemetry::reset();
         trace::set_mode(TraceMode::Failures);
         trace::reset();
         trace::set_capacity(1 << 20, 1 << 20);
@@ -130,20 +129,21 @@ fn trace_forensics_are_identical_across_worker_counts() {
     );
     trace::set_capacity(trace::DEFAULT_FAILED_CAP, trace::DEFAULT_OK_CAP);
     trace::reset();
-    freerider::telemetry::reset();
 }
 
 #[test]
 fn telemetry_metrics_are_identical_across_worker_counts() {
-    // The tentpole guarantee of the telemetry crate: counters and
-    // histograms collected across Executor workers merge to the exact
-    // same values (and the exact same serialised JSON) whether the sweep
-    // ran on one thread or four. Wall-clock timers are excluded by
-    // construction — `metrics_json` never contains them.
+    // The tentpole guarantee of the telemetry crate: the stage profiler's
+    // deterministic section — stage counts, samples, bits and work and
+    // branch-outcome counters — merges across Executor workers to the
+    // exact same serialised JSON whether the sweep ran on one thread or
+    // four. Wall-clock timing is excluded by construction: `work_json`
+    // never contains it.
+    use freerider::telemetry::profile;
     let _guard = telemetry_guard();
     let distances = [1.0, 3.0, 6.0];
     let run = |ex: Executor| {
-        freerider::telemetry::reset();
+        profile::reset();
         distance_sweep_on(
             ex,
             Technology::Zigbee,
@@ -153,19 +153,26 @@ fn telemetry_metrics_are_identical_across_worker_counts() {
             40,
             0xD15_7A9CE,
         );
-        freerider::telemetry::snapshot()
+        profile::report()
     };
+    profile::set_enabled(true);
     let serial = run(Executor::serial());
     let parallel = run(Executor::new(4));
-    assert!(!serial.is_empty(), "the sweep must record telemetry");
+    profile::set_enabled(false);
+    profile::reset();
     assert!(
-        serial.counter("zigbee.rx.receive.calls") > 0,
+        serial.get("zigbee.rx").is_some_and(|s| s.count > 0),
         "ZigBee RX stages must be instrumented"
     );
-    assert_eq!(
-        serial.metrics_json(),
-        parallel.metrics_json(),
-        "metric sections must be byte-identical across worker counts"
+    assert!(
+        serial
+            .get("zigbee.rx/despread")
+            .is_some_and(|s| s.work.get("sfd.locks") > Some(&0)),
+        "the SFD branch outcome must be counted on its stage"
     );
-    freerider::telemetry::reset();
+    assert_eq!(
+        profile::work_json(&serial),
+        profile::work_json(&parallel),
+        "profile work sections must be byte-identical across worker counts"
+    );
 }
