@@ -63,7 +63,7 @@ impl Multipath {
 }
 
 /// A statistical radio channel operating on baseband IQ.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Channel {
     /// Target mean received signal power, dBm.
     pub rssi_dbm: f64,

@@ -104,8 +104,10 @@ pub const REGISTRY: &[EnvKnob] = &[
         name: "FREERIDER_THREADS",
         consumer: "freerider-rt::executor",
         default: "all cores",
-        doc: "Worker count for the parallel sweep executor. Results are \
-              bit-identical for every value; 1 forces serial execution.",
+        doc: "Worker count for the parallel sweep executor; at 2 or more \
+              a WiFi link outside a sweep also runs each packet's two \
+              legs on two cores. Results are bit-identical for every \
+              value; 1 forces serial execution.",
     },
     EnvKnob {
         name: "FREERIDER_TRACE",

@@ -20,7 +20,7 @@ use crate::metrics::LinkStats;
 use freerider_channel::channel::Channel;
 pub use freerider_channel::channel::{Fading, Multipath};
 use freerider_channel::BackscatterBudget;
-use freerider_rt::{derive_seed, stream, Rng64};
+use freerider_rt::{derive_seed, stream, Executor, Rng64};
 use freerider_tag::translator::{FskTranslator, PhaseTranslator};
 use freerider_telemetry::trace;
 
@@ -168,7 +168,16 @@ impl WifiLink {
     /// [`WifiLink::run`] with caller-provided receive arenas — the
     /// allocation-lean form sweeps thread through per-worker executor
     /// state. Statistics are bit-identical to [`WifiLink::run`].
+    ///
+    /// Each packet's two receive legs run on two cores when the
+    /// environment's executor allows it (see [`Executor::join_if`]); the
+    /// statistics are the same bits either way.
     pub fn run_with(&self, scratch: &mut WifiLinkScratch) -> LinkStats {
+        self.run_on(Executor::from_env(), scratch)
+    }
+
+    /// [`WifiLink::run_with`] on an explicit executor.
+    fn run_on(&self, exec: Executor, scratch: &mut WifiLinkScratch) -> LinkStats {
         use freerider_wifi::{Mpdu, Receiver, RxConfig, RxError, Transmitter, TxConfig};
         let cfg = &self.config;
         let mut rng = Rng64::derive(cfg.seed, stream::PAYLOAD);
@@ -214,6 +223,10 @@ impl WifiLink {
                 - freerider_wifi::frame::HEADER_LEN
                 - freerider_wifi::frame::FCS_LEN,
         );
+        let WifiLinkScratch {
+            reference,
+            backscatter,
+        } = scratch;
         for i in 0..cfg.packets {
             // One flight-recorder scope per excitation packet; the id is
             // derived from (seed, index) so it is worker-count independent.
@@ -228,36 +241,55 @@ impl WifiLink {
             let wave = tx.transmit(frame.as_bytes()).expect("payload fits");
             stats.add_airtime(wave.len() as f64 / freerider_wifi::SAMPLE_RATE);
 
-            // Receiver 1: the productive link.
-            let ref_rx = rx_ref.receive_with(&ref_channel.propagate(&wave), &mut scratch.reference);
-            let original = match ref_rx {
-                Ok(p) => {
-                    if !p.fcs_valid {
-                        // Only the *reference* copy is expected to pass FCS;
-                        // the backscattered copy fails it by design.
-                        trace::fail("wifi.ref.fcs_bad");
+            // Receiver 1 (the productive link) and the tag + receiver 2
+            // (the backscatter path) are independent once the waveform
+            // exists. The backscatter leg runs on clones of the payload RNG
+            // and the backscatter channel, committed below only when
+            // receiver 1 decoded: a reference failure skips the tag and
+            // leaves both untouched, exactly as if the leg never ran.
+            let (ref_rx, back) = exec.join_if(
+                || {
+                    let ref_rx = rx_ref.receive_with(&ref_channel.propagate(&wave), reference);
+                    match &ref_rx {
+                        Ok(p) => {
+                            if !p.fcs_valid {
+                                // Only the *reference* copy is expected to
+                                // pass FCS; the backscattered copy fails it
+                                // by design.
+                                trace::fail("wifi.ref.fcs_bad");
+                            }
+                            stats.note_productive(p.fcs_valid);
+                        }
+                        Err(_) => {
+                            trace::fail("wifi.ref.rx_error");
+                            stats.note_productive(false);
+                        }
                     }
-                    stats.note_productive(p.fcs_valid);
-                    p
-                }
-                Err(_) => {
-                    trace::fail("wifi.ref.rx_error");
-                    stats.note_productive(false);
-                    continue;
-                }
+                    ref_rx
+                },
+                Result::is_ok,
+                || {
+                    let mut rng = rng.clone();
+                    let mut channel = back_channel.clone();
+                    // The tag.
+                    let tag_bits = random_bits(self.translator.capacity(wave.len()), &mut rng);
+                    let (tagged, consumed) = self.translator.translate(&wave, &tag_bits);
+                    debug_assert_eq!(consumed, tag_bits.len());
+                    // Receiver 2.
+                    let heard = channel.propagate_padded(&tagged, 200);
+                    let back_rx = rx_back.receive_with(&heard, backscatter);
+                    (rng, channel, tag_bits, back_rx)
+                },
+            );
+            let (Ok(original), Some((next_rng, next_channel, tag_bits, back_rx))) = (ref_rx, back)
+            else {
+                continue;
             };
-
-            // The tag.
-            let tag_bits = random_bits(self.translator.capacity(wave.len()), &mut rng);
-            let (tagged, consumed) = self.translator.translate(&wave, &tag_bits);
-            debug_assert_eq!(consumed, tag_bits.len());
+            rng = next_rng;
+            back_channel = next_channel;
             stats.note_sent(tag_bits.len());
 
-            // Receiver 2: the backscatter path.
-            match rx_back.receive_with(
-                &back_channel.propagate_padded(&tagged, 200),
-                &mut scratch.backscatter,
-            ) {
+            match back_rx {
                 Ok(pkt) => {
                     stats.note_measured_rssi(pkt.rssi_dbm);
                     let decoded = match self.scheme {
@@ -549,6 +581,93 @@ mod tests {
         let stats = WifiLink::new(wifi_cfg(60.0)).run();
         assert_eq!(stats.packets_decoded, 0, "60 m is past the 42 m cliff");
         assert_eq!(stats.throughput_bps(), 0.0);
+    }
+
+    /// Every field of the statistics, bit for bit.
+    fn stat_bits(s: &LinkStats) -> [u64; 9] {
+        [
+            s.packets_sent as u64,
+            s.packets_decoded as u64,
+            s.productive_ok as u64,
+            s.tag_bits_sent,
+            s.tag_bits_compared,
+            s.tag_bits_correct,
+            s.budget_rssi_dbm.to_bits(),
+            s.measured_rssi_dbm.to_bits(),
+            s.airtime_s.to_bits(),
+        ]
+    }
+
+    /// Runs `link` serially and with its two legs on two threads; the
+    /// statistics must be the same bits.
+    fn serial_and_concurrent(link: &WifiLink) -> LinkStats {
+        let mut scratch = WifiLinkScratch::new();
+        let serial = link.run_on(Executor::serial(), &mut scratch);
+        let concurrent = link.run_on(Executor::new(2), &mut scratch);
+        assert_eq!(
+            stat_bits(&serial),
+            stat_bits(&concurrent),
+            "seed {}: {serial:?} vs {concurrent:?}",
+            link.config.seed
+        );
+        serial
+    }
+
+    #[test]
+    fn wifi_link_legs_are_bit_identical_on_two_threads() {
+        for seed in 0..4 {
+            let cfg = LinkConfig {
+                fading: Fading::Rician { k_db: 9.0 },
+                seed,
+                ..wifi_cfg(20.0)
+            };
+            let s = serial_and_concurrent(&WifiLink::new(cfg.clone()));
+            assert!(s.packets_decoded > 0, "{s:?}");
+            let s = serial_and_concurrent(&WifiLink::new_quaternary(cfg));
+            assert!(s.packets_decoded > 0, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn wifi_link_reference_failure_rolls_the_backscatter_leg_back() {
+        // A noise floor above receiver 1's −45 dBm: the reference leg
+        // fails on every packet, so the speculative backscatter leg's
+        // RNG and channel draws are discarded each time.
+        let mut budget = BackscatterBudget::wifi_los();
+        budget.noise_floor_dbm = -40.0;
+        let s = serial_and_concurrent(&WifiLink::new(LinkConfig {
+            budget,
+            ..wifi_cfg(2.0)
+        }));
+        assert_eq!(
+            (s.packets_sent, s.productive_ok, s.tag_bits_sent),
+            (4, 0, 0)
+        );
+
+        // A marginal reference leg (0.5 dB SNR) beside a strong
+        // backscatter leg: packets after a discarded leg decode only with
+        // the payload RNG and backscatter channel the serial program would
+        // hold, so a wrong commit moves the tag bits and the measured RSSI.
+        let mut budget = BackscatterBudget::wifi_los();
+        budget.noise_floor_dbm = -45.5;
+        budget.tx_power_dbm += 38.0;
+        let cfg = LinkConfig {
+            budget,
+            packets: 12,
+            ..wifi_cfg(2.0)
+        };
+        let s = serial_and_concurrent(&WifiLink::new(cfg.clone()));
+        let every_packet = WifiLink::new(LinkConfig {
+            budget: BackscatterBudget::wifi_los(),
+            ..cfg
+        })
+        .run()
+        .tag_bits_sent;
+        assert!(
+            s.tag_bits_sent < every_packet,
+            "some reference legs must fail: {s:?}"
+        );
+        assert!(s.packets_decoded > 0, "{s:?}");
     }
 
     #[test]

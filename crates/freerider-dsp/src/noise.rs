@@ -15,7 +15,6 @@ use freerider_rt::Rng64;
 pub struct NoiseSource {
     rng: Rng64,
     sigma_per_dim: f64,
-    spare: Option<f64>,
 }
 
 impl NoiseSource {
@@ -26,7 +25,6 @@ impl NoiseSource {
         NoiseSource {
             rng: Rng64::new(seed),
             sigma_per_dim: (power / 2.0).sqrt(),
-            spare: None,
         }
     }
 
@@ -35,24 +33,12 @@ impl NoiseSource {
         2.0 * self.sigma_per_dim * self.sigma_per_dim
     }
 
-    /// One standard Gaussian variate (Box–Muller via `freerider-rt`, with
-    /// the sine-branch spare cached so no draw is wasted).
-    fn std_normal(&mut self) -> f64 {
-        if let Some(v) = self.spare.take() {
-            return v;
-        }
-        let (a, b) = self.rng.gauss_pair();
-        self.spare = Some(b);
-        a
-    }
-
-    /// Draws one complex noise sample.
+    /// Draws one complex noise sample: both branches of one Box–Muller
+    /// pair (via `freerider-rt`), cosine on the real axis.
     #[inline]
     pub fn sample(&mut self) -> Complex {
-        Complex::new(
-            self.sigma_per_dim * self.std_normal(),
-            self.sigma_per_dim * self.std_normal(),
-        )
+        let (re, im) = self.rng.gauss_pair();
+        Complex::new(self.sigma_per_dim * re, self.sigma_per_dim * im)
     }
 
     /// Adds noise to a buffer in place.

@@ -8,8 +8,25 @@
 //! scheduling**: as long as each item seeds its own RNG stream (see
 //! [`crate::Rng64::derive`]), the parallel result is bit-identical to the
 //! serial one.
+//!
+//! [`Executor::join_if`] is the second, smaller fan-out: two independent
+//! legs of one computation, the second one speculative. It runs the legs
+//! side by side only where that cannot oversubscribe the pool or reorder
+//! a recorded event, and is otherwise the serial program it is defined as.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Set on every thread this module spawns, so work already running on
+    /// an executor thread never fans out a second time.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as an executor thread.
+fn mark_worker() {
+    ON_WORKER.with(|w| w.set(true));
+}
 
 /// Environment variable overriding the worker count. `FREERIDER_THREADS=1`
 /// forces the serial in-place path (no threads spawned at all).
@@ -118,6 +135,7 @@ impl Executor {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
+                        mark_worker();
                         let mut state = mk_state();
                         let mut out = Vec::new();
                         loop {
@@ -141,6 +159,66 @@ impl Executor {
         indexed.sort_unstable_by_key(|&(i, _)| i);
         debug_assert_eq!(indexed.len(), items.len());
         indexed.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Runs `a`, and `b` if `keep` accepts `a`'s result: the result is
+    /// exactly that of the serial program
+    ///
+    /// ```text
+    /// let ra = a();
+    /// let rb = keep(&ra).then(b);
+    /// ```
+    ///
+    /// `b` must not depend on anything `a` does (it may not even observe
+    /// it), so it can run speculatively: when this executor has more than
+    /// one thread, the caller is not itself an executor thread, and neither
+    /// the flight recorder (`trace::active`) nor the stage profiler
+    /// (`profile::enabled`) is on, `b` runs on one scoped helper thread
+    /// while `a` runs on the caller, and `b`'s result is dropped when
+    /// `keep(&ra)` is false. Otherwise the serial program above runs as
+    /// written, so `FREERIDER_THREADS=1` spawns nothing, a link inside a
+    /// sweep worker never oversubscribes the pool, and traces and profile
+    /// trees record the serial event order.
+    ///
+    /// A panic in `a` propagates (after `b` is joined). A panic in `b`
+    /// propagates when `keep(&ra)` is true; when it is false the serial
+    /// program never runs `b`, so a speculative panic is dropped with the
+    /// rest of `b`'s result.
+    pub fn join_if<RA, RB, A, K, B>(&self, a: A, keep: K, b: B) -> (RA, Option<RB>)
+    where
+        A: FnOnce() -> RA,
+        K: FnOnce(&RA) -> bool,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        let concurrent = self.threads > 1
+            && !ON_WORKER.with(Cell::get)
+            && !freerider_telemetry::trace::active()
+            && !freerider_telemetry::profile::enabled();
+        if !concurrent {
+            let ra = a();
+            let rb = keep(&ra).then(b);
+            return (ra, rb);
+        }
+        std::thread::scope(|scope| {
+            let helper = scope.spawn(|| {
+                mark_worker();
+                b()
+            });
+            let ra = a();
+            let rb = if keep(&ra) {
+                match helper.join() {
+                    Ok(rb) => Some(rb),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            } else {
+                // The serial program never runs `b`: drop its result, a
+                // panic included.
+                drop(helper.join());
+                None
+            };
+            (ra, rb)
+        })
     }
 
     /// Maps `f` over `items` and folds the ordered results with `reduce`,
@@ -241,6 +319,87 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(e.map(&empty, |_, &x| x).is_empty());
         assert_eq!(e.map(&[7u32], |_, &x| x + 1), vec![8]);
+    }
+
+    /// Whether `join_if` may run concurrently in this process at all (the
+    /// flight recorder and profiler switches can be set from the env).
+    fn switches_off() -> bool {
+        !freerider_telemetry::trace::active() && !freerider_telemetry::profile::enabled()
+    }
+
+    #[test]
+    fn join_if_matches_serial_at_any_width() {
+        for seed in 0..8u64 {
+            let run = |threads: usize| {
+                Executor::new(threads).join_if(
+                    || {
+                        let mut rng = Rng64::derive(seed, 1);
+                        (0..300).map(|_| rng.gauss()).sum::<f64>().to_bits()
+                    },
+                    |&a| a % 4 != 0,
+                    || {
+                        let mut rng = Rng64::derive(seed, 2);
+                        (0..300).map(|_| rng.gauss()).sum::<f64>().to_bits()
+                    },
+                )
+            };
+            let serial = run(1);
+            assert_eq!(serial.1.is_some(), serial.0 % 4 != 0);
+            assert_eq!(run(2), serial, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn join_if_drops_the_leg_keep_rejects() {
+        use std::sync::atomic::AtomicBool;
+        let ran = AtomicBool::new(false);
+        let (a, b) =
+            Executor::serial().join_if(|| 7, |_| false, || ran.store(true, Ordering::Relaxed));
+        assert_eq!((a, b), (7, None));
+        assert!(!ran.load(Ordering::Relaxed), "the serial path ran `b`");
+        let (a, b) = Executor::new(2).join_if(|| 7, |_| false, || 9);
+        assert_eq!((a, b), (7, None));
+        // A speculative panic is dropped with the rest of `b`'s result,
+        // as the serial program never runs `b`.
+        let (a, b) = Executor::new(2).join_if(|| 7, |_| false, || -> i32 { panic!("discarded") });
+        assert_eq!((a, b), (7, None));
+    }
+
+    #[test]
+    fn join_if_propagates_a_panic_in_either_leg() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for threads in [1, 2] {
+            let ex = Executor::new(threads);
+            let in_a = catch_unwind(AssertUnwindSafe(|| {
+                ex.join_if(|| -> i32 { panic!("leg a") }, |_| true, || 1)
+            }));
+            assert!(in_a.is_err(), "{threads} threads: leg a's panic was lost");
+            let in_b = catch_unwind(AssertUnwindSafe(|| {
+                ex.join_if(|| 1, |_| true, || -> i32 { panic!("leg b") })
+            }));
+            assert!(in_b.is_err(), "{threads} threads: leg b's panic was lost");
+        }
+    }
+
+    #[test]
+    fn join_if_runs_serially_inside_a_worker() {
+        use std::thread::{current, ThreadId};
+        let ex = Executor::new(2);
+        let threads_of = || -> (ThreadId, ThreadId) {
+            let (a, b) = ex.join_if(|| current().id(), |_| true, || current().id());
+            (a, b.expect("kept"))
+        };
+        if switches_off() {
+            let (a, b) = threads_of();
+            assert_eq!(a, current().id(), "leg a runs on the caller");
+            assert_ne!(a, b, "top level: leg b runs on a helper thread");
+        }
+        // Two items on two workers: both run inside spawned workers,
+        // where a second fan-out would oversubscribe the pool.
+        for (a, b) in ex.map(&[0u8, 1], |_, _| threads_of()) {
+            assert_ne!(a, current().id(), "the item ran on a worker");
+            assert_eq!(a, b, "join_if inside a worker spawned a helper");
+        }
     }
 
     #[test]

@@ -210,7 +210,7 @@ JOB=$(sed -n 's/^job \([0-9][0-9]*\) accepted.*/\1/p' /tmp/freerider_serve_strea
     | grep -q "^job $JOB done " \
     || { echo "serve smoke: list does not show job $JOB done"; kill "$SERVE_PID" 2>/dev/null; exit 1; }
 ./target/release/freerider-client --addr "$SERVE_ADDR" top --iters 1 --interval 0.1 \
-    | grep -q 'freerider-serve  up ' \
+    | grep -q '^freerider-serve  up ' \
     || { echo "serve smoke: top did not report the server up"; kill "$SERVE_PID" 2>/dev/null; exit 1; }
 ./target/release/freerider-client --addr "$SERVE_ADDR" shutdown >/dev/null
 wait "$SERVE_PID"
@@ -235,6 +235,32 @@ assert m["net.sim.allocs"] <= 5000, m["net.sim.allocs"]
 print(f"serve-deploy OK: {doc['attempted']} ops, "
       f"client.decode {m['client.decode.allocs']:.0f} and "
       f"net.sim {m['net.sim.allocs']:.0f} allocations per op")
+EOF
+
+echo "==> perfbench wifi-link serial vs two-leg (same op digests at FREERIDER_THREADS=1 and unset)"
+# Unset, the executor sizes itself from the cores, so on a multi-core
+# host each packet's reference and backscatter legs run side by side
+# (Executor::join_if); at 1 thread they run one after the other. Both
+# runs must be correct and agree on every op both completed.
+FREERIDER_THREADS=1 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload wifi-link --seed 3 --seconds 2 --trace 0 \
+    --out /tmp/freerider_perfbench_wifi_serial >/dev/null
+env -u FREERIDER_THREADS cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload wifi-link --seed 3 --seconds 2 --trace 0 \
+    --out /tmp/freerider_perfbench_wifi_default >/dev/null
+python3 - <<'EOF'
+import json
+docs = []
+for d in ("serial", "default"):
+    with open(f"/tmp/freerider_perfbench_wifi_{d}/wifi-link-seed3-trace0.json") as f:
+        docs.append(json.load(f))
+for doc in docs:
+    assert doc["correct"] is True, doc["errors"]
+a, b = (doc["op_digests"] for doc in docs)
+n = min(len(a), len(b))
+assert n > 0, "no ops to compare"
+assert a[:n] == b[:n], "op digests differ between 1 thread and the default"
+print(f"wifi-link OK: {n} ops bit-identical, {len(a)} serial vs {len(b)} default ops in 2 s")
 EOF
 
 echo "==> bench baseline (diff vs benchmarks/latest.json)"

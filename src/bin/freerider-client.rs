@@ -31,6 +31,8 @@ use std::process::ExitCode;
 struct Args {
     positional: Vec<String>,
     flags: BTreeMap<String, Vec<String>>,
+    /// `--help` or `-h` was given anywhere.
+    help: bool,
 }
 
 impl Args {
@@ -38,7 +40,9 @@ impl Args {
         let mut out = Args::default();
         let mut iter = iter.peekable();
         while let Some(a) = iter.next() {
-            if let Some(name) = a.strip_prefix("--") {
+            if matches!(a.as_str(), "--help" | "-h") {
+                out.help = true;
+            } else if let Some(name) = a.strip_prefix("--") {
                 // Value-less boolean flags.
                 if matches!(name, "watch" | "json") {
                     out.flags
@@ -266,12 +270,17 @@ fn cmd_top(client: &mut Client<TcpStream>, a: &Args) -> Result<(), String> {
         return Err("--interval must be positive".to_string());
     }
     let iters: usize = a.get("iters", 0usize)?; // 0 = until interrupted
+    use std::io::IsTerminal as _;
+    // Clear screen + home, like top(1), only on a terminal: a pipe or
+    // file gets plain lines.
+    let clear = std::io::stdout().is_terminal();
     let mut done = 0usize;
     loop {
         let h = client.health().map_err(|e| e.to_string())?;
         let stats = client.stats().map_err(|e| e.to_string())?;
-        // Clear screen + home, like top(1); harmless when redirected.
-        print!("\x1b[2J\x1b[H");
+        if clear {
+            print!("\x1b[2J\x1b[H");
+        }
         println!(
             "freerider-serve  {}  sessions={} jobs: queued={} running={}  frames: rx={} tx={}",
             if h.ok { "up" } else { "DOWN" },
@@ -308,7 +317,7 @@ fn known_flags(cmd: &str) -> &'static [&'static str] {
 fn run(a: &Args) -> Result<(), String> {
     let addr = a.get("addr", DEFAULT_ADDR.to_string())?;
     let cmd = a.positional.first().map(String::as_str).unwrap_or("");
-    if matches!(cmd, "" | "help" | "--help") {
+    if matches!(cmd, "" | "help") {
         println!("{}", usage());
         return Ok(());
     }
@@ -402,6 +411,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if a.help {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     // Checked before `run` connects, so a typo never reaches the server.
     let cmd = a.positional.first().map(String::as_str).unwrap_or("");
     if let Some(flag) = a.unknown_flag(known_flags(cmd)) {

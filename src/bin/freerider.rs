@@ -34,6 +34,8 @@ mod args {
         pub positional: Vec<String>,
         /// Flag values; repeated flags accumulate.
         pub flags: BTreeMap<String, Vec<String>>,
+        /// `--help` or `-h` was given anywhere.
+        pub help: bool,
     }
 
     impl Args {
@@ -42,7 +44,9 @@ mod args {
             let mut out = Args::default();
             let mut iter = iter.peekable();
             while let Some(a) = iter.next() {
-                if let Some(name) = a.strip_prefix("--") {
+                if matches!(a.as_str(), "--help" | "-h") {
+                    out.help = true;
+                } else if let Some(name) = a.strip_prefix("--") {
                     let value = iter
                         .next()
                         .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -361,6 +365,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if parsed.help {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let cmd = parsed.positional.first().map(String::as_str).unwrap_or("");
     if let Some(flag) = parsed.unknown_flag(known_flags(cmd)) {
         eprintln!("error: unknown flag --{flag} for `{cmd}`\n\n{}", usage());
@@ -373,7 +381,7 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&parsed),
         "power" => cmd_power(&parsed),
         "serve" => cmd_serve(&parsed),
-        "" | "help" | "--help" => {
+        "" | "help" => {
             println!("{}", usage());
             Ok(())
         }

@@ -3,6 +3,7 @@
 //! exits 2 with the usage text instead of silently running with a
 //! default. The client points at `127.0.0.1:9`, where no server listens,
 //! so a flag that gets past the check shows up as a connect error.
+//! `--help` (or `-h`) anywhere prints the usage and exits 0.
 
 use std::process::{Command, Output};
 
@@ -63,5 +64,28 @@ fn freerider_client_rejects_unknown_flags_before_connecting() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("connect 127.0.0.1:9"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_freerider"), &["--help"][..]),
+        (env!("CARGO_BIN_EXE_freerider"), &["link", "wifi", "-h"]),
+        (env!("CARGO_BIN_EXE_freerider-client"), &["--help"]),
+        // Help wins over the command: nothing connects.
+        (
+            env!("CARGO_BIN_EXE_freerider-client"),
+            &["--addr", "127.0.0.1:9", "top", "-h"],
+        ),
+    ] {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("USAGE"),
+            "{args:?}: no usage on stdout"
+        );
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
     }
 }
