@@ -108,7 +108,7 @@ fn write_json(
 }
 
 const USAGE: &str = "usage: repro [--quick] [--json <path>] [--trace <path>] \
-                     [--profile <path>] <experiment>... | all | --list";
+                     [--profile <path>] <experiment>... | all | --list | --help";
 
 struct Args {
     quick: bool,
@@ -147,7 +147,14 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
+    // `--help` anywhere wins over every other argument, valid or not.
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        // A closed stdout has nobody left to read the usage.
+        let _ = writeln!(io::stdout(), "{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let args = match parse_args(argv.into_iter()) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("repro: {e}\n{USAGE}");

@@ -1,7 +1,8 @@
 //! The bench tools reject what they do not understand: an unknown
 //! `-`-prefixed argument exits 2 with the usage text instead of silently
-//! running a (full, multi-second) default workload. `repro` also stops
-//! quietly when the reader of its stdout hangs up.
+//! running a (full, multi-second) default workload. `--help` (or `-h`)
+//! anywhere prints the usage and exits 0 without running anything.
+//! `repro` also stops quietly when the reader of its stdout hangs up.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -86,4 +87,46 @@ fn bench_baseline_rejects_unknown_flags() {
             "bench-baseline {args:?} wrote a baseline"
         );
     }
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    let dir = out_dir("help_prints_usage_and_exits_zero");
+    let json = dir.join("bench.json");
+    let json = json.to_str().unwrap();
+    for (bin, usage, args) in [
+        (env!("CARGO_BIN_EXE_repro"), "usage: repro", &["--help"][..]),
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            "usage: repro",
+            &["--quick", "table1", "-h"],
+        ),
+        // Help wins even over a flag that would take it as its value.
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            "usage: repro",
+            &["--json", "--help"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench-baseline"),
+            "usage: bench-baseline",
+            &["--help"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench-baseline"),
+            "usage: bench-baseline",
+            &["--quick", "--out", json, "-h"],
+        ),
+    ] {
+        let out = run(bin, args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stdout.starts_with(usage), "{args:?}: stdout {stdout}");
+        assert!(stderr.is_empty(), "{args:?} ran something: {stderr}");
+    }
+    assert!(
+        std::fs::metadata(json).is_err(),
+        "bench-baseline -h wrote a baseline"
+    );
 }

@@ -9,6 +9,7 @@ use crate::gfsk::{channel_filter, discriminate};
 use crate::packet::{BlePacket, PacketError};
 use crate::{ADVERTISING_AA, DEFAULT_CHANNEL, SAMPLES_PER_BIT};
 use freerider_coding::whitening::Whitener;
+use freerider_dsp::fir::Fir;
 use freerider_dsp::{bits, db, Complex};
 use freerider_telemetry as telemetry;
 use freerider_telemetry::{profile, trace};
@@ -85,6 +86,8 @@ pub struct Receiver {
     config: RxConfig,
     /// ±1 template of preamble + access address at one value per bit.
     sync_template: Vec<f64>,
+    /// The channel-select filter, designed once here rather than per call.
+    filter: Fir,
 }
 
 impl Receiver {
@@ -99,6 +102,7 @@ impl Receiver {
         Receiver {
             config,
             sync_template,
+            filter: channel_filter(),
         }
     }
 
@@ -114,7 +118,7 @@ impl Receiver {
         let sync_stage = telemetry::stage("sync");
         let filtered;
         let input: &[Complex] = if self.config.channel_filter {
-            filtered = channel_filter().filter(samples);
+            filtered = self.filter.filter(samples);
             &filtered
         } else {
             samples

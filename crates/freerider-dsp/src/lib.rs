@@ -12,7 +12,8 @@
 //! * [`osc`] — complex numerically controlled oscillators and the square-wave
 //!   oscillator that models a backscatter tag's RF-transistor toggling.
 //! * [`noise`] — a seeded additive white Gaussian noise source.
-//! * [`corr`] — cross-correlation and peak search for preamble detection.
+//! * [`corr`] — normalised sliding correlation and the first-crossing
+//!   search for preamble detection.
 //! * [`db`] — dB/linear conversions and signal power measurement.
 //! * [`bits`] — bit/byte packing helpers shared by all framers.
 //! * [`trace`] — IQ trace capture (the workspace's pcap analogue).

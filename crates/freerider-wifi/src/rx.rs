@@ -253,9 +253,10 @@ thread_local! {
 
 /// Extends the lazily-evaluated delay-correlate metric so index `upto` is
 /// valid. Each value sums the same 64 products in the same order as the
-/// eager [`corr::delay_correlate`], so the prefix computed here is
-/// bit-identical to the corresponding prefix of the full metric — the
-/// plateau search just never pays for the samples it does not look at.
+/// eager delay-correlate oracle in `freerider_dsp::corr`'s tests, so the
+/// prefix computed here is bit-identical to the corresponding prefix of
+/// the full metric — the plateau search just never pays for the samples
+/// it does not look at.
 ///
 /// The SoA product/energy planes feeding the metric are themselves
 /// extended lazily (element-wise, so the prefix is bit-identical to an

@@ -15,42 +15,44 @@ pub const BASE: [u8; 32] = [
 ///
 /// # Panics
 /// Panics if `symbol > 15`.
-pub fn chip_sequence(symbol: u8) -> [u8; 32] {
+pub const fn chip_sequence(symbol: u8) -> [u8; 32] {
     assert!(symbol < 16, "802.15.4 data symbols are 0–15");
     let rot = (symbol as usize % 8) * 4;
     let mut out = [0u8; 32];
-    for (n, o) in out.iter_mut().enumerate() {
-        // Right cyclic rotation by `rot` chips.
-        *o = BASE[(n + CHIPS_PER_SYMBOL - rot) % CHIPS_PER_SYMBOL];
-    }
-    if symbol >= 8 {
-        for (n, o) in out.iter_mut().enumerate() {
-            if n % 2 == 1 {
-                *o ^= 1;
-            }
+    let mut n = 0;
+    while n < CHIPS_PER_SYMBOL {
+        // Right cyclic rotation by `rot` chips; symbols 8–15 also invert
+        // the odd-indexed chips.
+        out[n] = BASE[(n + CHIPS_PER_SYMBOL - rot) % CHIPS_PER_SYMBOL];
+        if symbol >= 8 && n % 2 == 1 {
+            out[n] ^= 1;
         }
+        n += 1;
     }
     out
 }
 
 /// All 16 sequences as bipolar (±1) vectors, for correlation receivers.
-pub fn bipolar_table() -> [[f64; 32]; 16] {
+pub static BIPOLAR: [[f64; 32]; 16] = {
     let mut t = [[0.0; 32]; 16];
-    for (s, row) in t.iter_mut().enumerate() {
+    let mut s = 0;
+    while s < 16 {
         let seq = chip_sequence(s as u8);
-        for (n, v) in row.iter_mut().enumerate() {
-            *v = if seq[n] == 1 { 1.0 } else { -1.0 };
+        let mut n = 0;
+        while n < CHIPS_PER_SYMBOL {
+            t[s][n] = if seq[n] == 1 { 1.0 } else { -1.0 };
+            n += 1;
         }
+        s += 1;
     }
     t
-}
+};
 
 /// Correlates a soft bipolar chip vector against all 16 codes and returns
 /// `(best_symbol, best_score)` by maximum real correlation.
 pub fn correlate(soft_chips: &[f64; 32]) -> (u8, f64) {
-    let table = bipolar_table();
     let mut best = (0u8, f64::NEG_INFINITY);
-    for (s, row) in table.iter().enumerate() {
+    for (s, row) in BIPOLAR.iter().enumerate() {
         let score: f64 = row.iter().zip(soft_chips.iter()).map(|(a, b)| a * b).sum();
         if score > best.1 {
             best = (s as u8, score);
@@ -117,7 +119,7 @@ mod tests {
 
     #[test]
     fn autocorrelation_dominates_cross_correlation() {
-        let table = bipolar_table();
+        let table = BIPOLAR;
         for a in 0..16 {
             for b in 0..16 {
                 let c: f64 = table[a].iter().zip(&table[b]).map(|(x, y)| x * y).sum();
@@ -132,7 +134,7 @@ mod tests {
 
     #[test]
     fn clean_chips_decode_correctly() {
-        let table = bipolar_table();
+        let table = BIPOLAR;
         for s in 0..16u8 {
             let (dec, score) = correlate(&table[s as usize]);
             assert_eq!(dec, s);

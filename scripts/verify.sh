@@ -263,6 +263,24 @@ assert a[:n] == b[:n], "op digests differ between 1 thread and the default"
 print(f"wifi-link OK: {n} ops bit-identical, {len(a)} serial vs {len(b)} default ops in 2 s")
 EOF
 
+echo "==> perfbench coexist-fig16 (correct, warm-up digest pinned)"
+# The only workload that runs the ZigBee and BLE receivers and the
+# interferer. Its warm-up op's digest is fixed by the bits of every
+# window, so a receiver rewrite that changes one decoded symbol fails
+# here as well as in tests/baselines.rs.
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload coexist-fig16 --seed 3 --seconds 2 --trace 0 \
+    --out /tmp/freerider_perfbench_coexist >/dev/null
+python3 - <<'EOF'
+import json
+with open("/tmp/freerider_perfbench_coexist/coexist-fig16-seed3-trace0.json") as f:
+    doc = json.load(f)
+assert doc["correct"] is True, doc["errors"]
+assert doc["failed"] == 0, doc["failed"]
+assert doc["warmup_digest"] == "2706634ee6dceb7b", doc["warmup_digest"]
+print(f"coexist-fig16 OK: {doc['attempted']} ops, warm-up digest {doc['warmup_digest']}")
+EOF
+
 echo "==> bench baseline (diff vs benchmarks/latest.json)"
 # Full mode, not --quick: the committed baseline is a full run, and the
 # kernel rows of bench_diff fail hard, so the comparison must be

@@ -125,6 +125,30 @@ fn steady_state_rx_with_warm_scratch_is_allocation_free() {
 }
 
 #[test]
+fn warm_zigbee_receive_allocates_only_the_packet() {
+    // A warm ZigBee receive allocates only the returned packet's three
+    // buffers (symbols, scores, PSDU bytes), however long the PSDU: the
+    // preamble correlation reuses the thread's scratch and despreading
+    // runs on the stack.
+    use freerider::zigbee::{Receiver, RxConfig, Transmitter};
+    let rx = Receiver::new(freerider::zigbee::RxConfig {
+        sensitivity_dbm: -200.0,
+        ..RxConfig::default()
+    });
+    for len in [1usize, 30, 100, 125] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+        let mut wave = vec![freerider::dsp::Complex::ZERO; 150];
+        wave.extend(Transmitter::new().transmit(&payload).unwrap());
+        assert!(rx.receive(&wave).unwrap().fcs_valid, "warm-up, {len} B");
+        let (pkt, n) = count_allocs(|| rx.receive(&wave));
+        let pkt = pkt.unwrap();
+        assert!(pkt.fcs_valid);
+        assert_eq!(pkt.ppdu.payload(), &payload[..]);
+        assert!(n <= 3, "a warm {len}-byte receive allocated {n} times");
+    }
+}
+
+#[test]
 fn warm_batch_kernels_are_allocation_free() {
     // The kernels `receive_with` runs over a whole DATA field must each be
     // allocation-free once their buffers are warm: Viterbi at its default
