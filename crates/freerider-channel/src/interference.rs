@@ -14,7 +14,7 @@ use freerider_rt::{stream, Rng64};
 
 /// A duty-cycled interferer leaking noise-like energy into the observed
 /// band.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Interferer {
     /// In-band leakage power while a burst is on, dBm.
     pub leak_dbm: f64,

@@ -16,13 +16,10 @@
 //!   narrowband ZigBee/Bluetooth receivers filter most of it out (1–2 kbps
 //!   shift), matching §4.4.2.
 
-use crate::decoder;
-use crate::metrics::Cdf;
-use freerider_channel::channel::{Channel, Fading};
+use crate::link::{run_link, BleLink, Draws, Fading, LinkConfig, Phy, WifiLink, ZigbeeLink};
+use crate::metrics::{Cdf, LinkStats};
 use freerider_channel::interference::Interferer;
-use freerider_channel::BackscatterBudget;
 use freerider_rt::{derive_seed, stream, Executor, Rng64};
-use freerider_tag::translator::{FskTranslator, PhaseTranslator};
 
 /// SNR→rate table for 802.11g with ~70 % MAC efficiency: `(snr_db, mbps)`.
 const RATE_TABLE: [(f64, f64); 8] = [
@@ -85,28 +82,18 @@ pub struct BackscatterCoexistResult {
 }
 
 /// Which excitation the Fig. 16 run backscatters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoexistTech {
-    /// 802.11g/n excitation; backscatter on channel 13.
-    Wifi,
-    /// ZigBee excitation; backscatter near 2.48 GHz.
-    Zigbee,
-    /// Bluetooth excitation; backscatter near 2.48 GHz.
-    Ble,
-}
+pub use crate::experiments::Technology as CoexistTech;
 
-impl CoexistTech {
-    /// WiFi-interferer leakage into this technology's backscatter
-    /// receiver, dBm — a 15 dBm laptop a couple of metres from the
-    /// receiver, after the 802.11 spectral mask. The wideband (20 MHz)
-    /// WiFi receiver integrates the whole leak; the 2 MHz ZigBee and
-    /// 1 MHz Bluetooth channel filters keep only a sliver.
-    fn interferer_leak_dbm(self) -> f64 {
-        match self {
-            CoexistTech::Wifi => -69.0,
-            CoexistTech::Zigbee => -85.0,
-            CoexistTech::Ble => -89.0,
-        }
+/// WiFi-interferer leakage into `tech`'s backscatter receiver, dBm — a
+/// 15 dBm laptop a couple of metres from the receiver, after the 802.11
+/// spectral mask. The wideband (20 MHz) WiFi receiver integrates the whole
+/// leak; the 2 MHz ZigBee and 1 MHz Bluetooth channel filters keep only a
+/// sliver.
+fn interferer_leak_dbm(tech: CoexistTech) -> f64 {
+    match tech {
+        CoexistTech::Wifi => -69.0,
+        CoexistTech::Zigbee => -85.0,
+        CoexistTech::Ble => -89.0,
     }
 }
 
@@ -141,15 +128,10 @@ pub fn backscatter_coexistence_on(
     let window_ids: Vec<u64> = (0..windows as u64).collect();
     let pairs = executor.map(&window_ids, |_, &w| {
         let s = derive_seed(seed, w);
+        let leak = interferer_leak_dbm(tech);
         (
-            coexist_window(tech, packets_per_window, None, s, false),
-            coexist_window(
-                tech,
-                packets_per_window,
-                Some(tech.interferer_leak_dbm()),
-                s,
-                false,
-            ),
+            coexist_window(tech, packets_per_window, None, s).throughput_bps(),
+            coexist_window(tech, packets_per_window, Some(leak), s).throughput_bps(),
         )
     });
     let mut absent = Cdf::new();
@@ -195,9 +177,12 @@ pub fn backscatter_with_rts_cts_on(
     seed: u64,
 ) -> Cdf {
     let window_ids: Vec<u64> = (0..windows as u64).collect();
-    // Reservation means the interferer never overlaps our packets.
+    // Reservation means the interferer never overlaps our packets; its
+    // price is airtime.
     let samples = executor.map(&window_ids, |_, &w| {
-        coexist_window(tech, packets_per_window, None, derive_seed(seed, w), true)
+        let mut stats = coexist_window(tech, packets_per_window, None, derive_seed(seed, w));
+        stats.airtime_s += packets_per_window as f64 * RTS_CTS_OVERHEAD_S;
+        stats.throughput_bps()
     });
     let mut cdf = Cdf::new();
     for t in samples {
@@ -206,20 +191,30 @@ pub fn backscatter_with_rts_cts_on(
     cdf
 }
 
-/// One measurement window: returns tag throughput in bits/second.
-/// `rts_cts` adds the reservation overhead to every packet's airtime.
+/// One measurement window: `tech`'s standard link 2 m from the receiver
+/// on a flat channel, with the interferer at receiver 2 when
+/// `interferer_leak_dbm` is set. Its throughput is
+/// [`LinkStats::throughput_bps`].
 fn coexist_window(
     tech: CoexistTech,
     packets: usize,
     interferer_leak_dbm: Option<f64>,
     seed: u64,
-    rts_cts: bool,
-) -> f64 {
-    let mut rng = Rng64::derive(seed, stream::PAYLOAD);
+) -> LinkStats {
+    let cfg = LinkConfig {
+        payload_len: match tech {
+            CoexistTech::Wifi => 1000,
+            CoexistTech::Zigbee => 100,
+            CoexistTech::Ble => 37,
+        },
+        packets,
+        fading: Fading::None,
+        ..LinkConfig::new(tech.los_budget(), 2.0, seed)
+    };
     // File-transfer traffic is bursty: most measurement windows see
     // little of it, some are hammered — which is exactly how Fig. 16(a)
     // keeps its median while growing a 10 % tail.
-    let mut interferer = interferer_leak_dbm.map(|leak| {
+    let interferer = interferer_leak_dbm.map(|leak| {
         Interferer::new(
             leak,
             0.0,
@@ -228,185 +223,24 @@ fn coexist_window(
             derive_seed(seed, stream::INTERFERER),
         )
     });
-
-    let mut correct = 0u64;
-    let mut airtime = 0.0f64;
     match tech {
-        CoexistTech::Wifi => {
-            use freerider_wifi::{Mpdu, Receiver, RxConfig, Transmitter, TxConfig};
-            let budget = BackscatterBudget::wifi_los();
-            let tx = Transmitter::new(TxConfig::default());
-            let rx_ref = Receiver::new(RxConfig {
-                sensitivity_dbm: -200.0,
-                ..RxConfig::default()
-            });
-            let rx = Receiver::new(RxConfig::default());
-            let translator = PhaseTranslator::wifi_binary();
-            let rssi = budget.rssi_dbm(1.0, 2.0);
-            let mut ch_ref = Channel::new(
-                -45.0,
-                budget.noise_floor_dbm,
-                Fading::None,
-                derive_seed(seed, stream::REF_CHANNEL),
-            );
-            let mut ch = Channel::new(
-                rssi,
-                budget.noise_floor_dbm,
-                Fading::None,
-                derive_seed(seed, stream::BACK_CHANNEL),
-            );
-            for _ in 0..packets {
-                let payload: Vec<u8> = (0..1000).map(|_| rng.byte()).collect();
-                let frame = Mpdu::build(
-                    freerider_wifi::frame::MacAddr::local(1),
-                    freerider_wifi::frame::MacAddr::local(2),
-                    0,
-                    &payload,
-                );
-                // lint: allow(panic) — fixed 100-byte payload is below the PHY maximum
-                let wave = tx.transmit(frame.as_bytes()).expect("fits");
-                airtime += wave.len() as f64 / freerider_wifi::SAMPLE_RATE;
-                let original = match rx_ref.receive(&ch_ref.propagate(&wave)) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let bits: Vec<u8> = (0..translator.capacity(wave.len()))
-                    .map(|_| rng.bit())
-                    .collect();
-                let (tagged, _) = translator.translate(&wave, &bits);
-                let mut rx_wave = ch.propagate_padded(&tagged, 200);
-                if let Some(i) = interferer.as_mut() {
-                    i.add_to(&mut rx_wave);
-                }
-                if let Ok(pkt) = rx.receive(&rx_wave) {
-                    let decoded = decoder::decode_wifi_binary(
-                        &original.data_bits,
-                        &pkt.data_bits,
-                        24,
-                        translator.symbols_per_step,
-                        1,
-                    );
-                    correct += count_correct(&bits, &decoded);
-                }
-            }
-        }
-        CoexistTech::Zigbee => {
-            use freerider_zigbee::{Receiver, RxConfig, Transmitter};
-            let budget = BackscatterBudget::zigbee_los();
-            let tx = Transmitter::new();
-            let rx_ref = Receiver::new(RxConfig {
-                sensitivity_dbm: -200.0,
-                ..RxConfig::default()
-            });
-            let rx = Receiver::new(RxConfig::default());
-            let translator = PhaseTranslator::zigbee_binary();
-            let rssi = budget.rssi_dbm(1.0, 2.0);
-            let mut ch_ref = Channel::new(
-                -45.0,
-                budget.noise_floor_dbm,
-                Fading::None,
-                derive_seed(seed, stream::REF_CHANNEL),
-            );
-            let mut ch = Channel::new(
-                rssi,
-                budget.noise_floor_dbm,
-                Fading::None,
-                derive_seed(seed, stream::BACK_CHANNEL),
-            );
-            for _ in 0..packets {
-                let payload: Vec<u8> = (0..100).map(|_| rng.byte()).collect();
-                // lint: allow(panic) — fixed 100-byte payload is below the PHY maximum
-                let wave = tx.transmit(&payload).expect("fits");
-                airtime += wave.len() as f64 / freerider_zigbee::SAMPLE_RATE;
-                let original = match rx_ref.receive(&ch_ref.propagate(&wave)) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let bits: Vec<u8> = (0..translator.capacity(wave.len()))
-                    .map(|_| rng.bit())
-                    .collect();
-                let (tagged, _) = translator.translate(&wave, &bits);
-                let mut rx_wave = ch.propagate_padded(&tagged, 150);
-                if let Some(i) = interferer.as_mut() {
-                    i.add_to(&mut rx_wave);
-                }
-                if let Ok(pkt) = rx.receive(&rx_wave) {
-                    let decoded = decoder::decode_zigbee_binary(
-                        &original.psdu_symbols,
-                        &pkt.psdu_symbols,
-                        translator.symbols_per_step,
-                    );
-                    correct += count_correct(&bits, &decoded);
-                }
-            }
-        }
-        CoexistTech::Ble => {
-            use freerider_ble::{Receiver, RxConfig, Transmitter};
-            let budget = BackscatterBudget::ble_los();
-            let tx = Transmitter::new();
-            let rx_ref = Receiver::new(RxConfig {
-                sensitivity_dbm: -200.0,
-                ..RxConfig::default()
-            });
-            let rx = Receiver::new(RxConfig::default());
-            let translator = FskTranslator::ble();
-            let rssi = budget.rssi_dbm(1.0, 2.0);
-            let mut ch_ref = Channel::new(
-                -45.0,
-                budget.noise_floor_dbm,
-                Fading::None,
-                derive_seed(seed, stream::REF_CHANNEL),
-            );
-            let mut ch = Channel::new(
-                rssi,
-                budget.noise_floor_dbm,
-                Fading::None,
-                derive_seed(seed, stream::BACK_CHANNEL),
-            );
-            for _ in 0..packets {
-                let payload: Vec<u8> = (0..37).map(|_| rng.byte()).collect();
-                // lint: allow(panic) — fixed 37-byte payload is below the PHY maximum
-                let wave = tx.transmit(&payload).expect("fits");
-                airtime += wave.len() as f64 / freerider_ble::SAMPLE_RATE;
-                let original = match rx_ref.receive(&ch_ref.propagate(&wave)) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let bits: Vec<u8> = (0..translator.capacity(wave.len()))
-                    .map(|_| rng.bit())
-                    .collect();
-                let (tagged, _) = translator.translate(&wave, &bits);
-                let mut rx_wave = ch.propagate_padded(&tagged, 200);
-                if let Some(i) = interferer.as_mut() {
-                    i.add_to(&mut rx_wave);
-                }
-                if let Ok(pkt) = rx.receive(&rx_wave) {
-                    let decoded = decoder::decode_ble_binary(
-                        &original.pdu_bits,
-                        &pkt.pdu_bits,
-                        translator.bits_per_tag_bit,
-                        16,
-                    );
-                    correct += count_correct(&bits, &decoded);
-                }
-            }
-        }
-    }
-    if rts_cts {
-        airtime += packets as f64 * RTS_CTS_OVERHEAD_S;
-    }
-    if airtime > 0.0 {
-        correct as f64 / airtime
-    } else {
-        0.0
+        CoexistTech::Wifi => run_window(WifiLink::new(cfg).radios(), interferer),
+        CoexistTech::Zigbee => run_window(ZigbeeLink::new(cfg).radios(), interferer),
+        CoexistTech::Ble => run_window(BleLink::new(cfg).radios(), interferer),
     }
 }
 
-fn count_correct(sent: &[u8], decoded: &[u8]) -> u64 {
-    sent.iter()
-        .zip(decoded.iter())
-        .filter(|(a, b)| (**a & 1) == (**b & 1))
-        .count() as u64
+/// Runs one window on `phy`: per-byte payload draws, serially (the windows
+/// themselves fan out over the caller's executor).
+fn run_window<P: Phy>(phy: P, interferer: Option<Interferer>) -> LinkStats {
+    let scratch = &mut Default::default();
+    run_link(
+        &phy,
+        Draws::PerByte,
+        interferer,
+        Executor::serial(),
+        scratch,
+    )
 }
 
 #[cfg(test)]

@@ -14,12 +14,19 @@
 //! The excitation radio keeps doing *productive* communication: the link
 //! verifies receiver 1 still gets FCS-valid packets while the tag rides
 //! on them.
+//!
+//! One packet loop, `run_link`, runs every link and every Fig. 16 window
+//! (`crate::coexist`). A PHY supplies only what differs through the
+//! crate-private `Phy` trait, implemented by each link's `Radios`: its
+//! transmitter and receivers, its tag and its XOR decode.
 
 use crate::decoder;
 use crate::metrics::LinkStats;
 use freerider_channel::channel::Channel;
 pub use freerider_channel::channel::{Fading, Multipath};
+use freerider_channel::interference::Interferer;
 use freerider_channel::BackscatterBudget;
+use freerider_dsp::Complex;
 use freerider_rt::{derive_seed, stream, Executor, Rng64};
 use freerider_tag::translator::{FskTranslator, PhaseTranslator};
 use freerider_telemetry::trace;
@@ -66,17 +73,196 @@ impl LinkConfig {
     }
 }
 
-fn random_bits(n: usize, rng: &mut Rng64) -> Vec<u8> {
-    rng.bits(n)
-}
-
-fn random_bytes(n: usize, rng: &mut Rng64) -> Vec<u8> {
-    rng.bytes(n)
-}
-
 /// RSSI at which receiver 1 (co-located with the excitation TX) hears the
 /// original signal — strong by construction.
 const REFERENCE_RSSI_DBM: f64 = -45.0;
+
+/// How a run draws each packet's payload from its RNG.
+///
+/// Both orders stay because each is pinned by outputs that already exist:
+/// the links draw packed bytes (`Rng64::bytes`), WiFi drawing a random
+/// sequence number first, and every link figure rests on that; the Fig. 16
+/// windows draw one `Rng64::byte` per byte with sequence number 0, and the
+/// Fig. 16 CDFs rest on that. Neither can change without moving its figures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Draws {
+    /// `Rng64::bytes`, after a random WiFi sequence number.
+    Packed,
+    /// One `Rng64::byte` per payload byte; WiFi sequence number 0.
+    PerByte,
+}
+
+impl Draws {
+    fn payload(self, len: usize, rng: &mut Rng64) -> Vec<u8> {
+        match self {
+            Draws::Packed => rng.bytes(len),
+            Draws::PerByte => (0..len).map(|_| rng.byte()).collect(),
+        }
+    }
+}
+
+/// Receiver 1 (the productive link, hearing the excitation directly) or
+/// receiver 2 (hearing the tag's backscatter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leg {
+    Reference,
+    Backscatter,
+}
+
+/// What one commodity PHY brings to [`run_link`]: its radios, its tag and
+/// its XOR decode. Everything else about a backscatter packet is shared.
+pub(crate) trait Phy: Sync {
+    /// One receiver's working memory.
+    type Scratch: Default + Send;
+    /// A decoded packet, possibly borrowing its receiver's scratch.
+    type Rx<'s>: Send;
+    /// Baseband sample rate, samples/second.
+    const SAMPLE_RATE: f64;
+    /// Largest payload the PHY's frame carries, bytes.
+    const MAX_PAYLOAD: usize;
+    /// Noise samples on each side of the packet receiver 2 hears.
+    const PAD: usize;
+    /// Flight-recorder scope of one packet.
+    const SCOPE: &'static str;
+    /// Failure label of a reference packet whose FCS/CRC fails.
+    const REF_CHECK_FAILED: &'static str;
+
+    /// The configuration of the link these radios run.
+    fn config(&self) -> &LinkConfig;
+    /// Draws a `len`-byte payload from `rng` in `draws` order and
+    /// modulates it.
+    fn transmit(&self, draws: Draws, len: usize, rng: &mut Rng64) -> Vec<Complex>;
+    /// Decodes `heard` on `leg`'s receiver, or names the failure.
+    fn receive<'s>(
+        &self,
+        leg: Leg,
+        heard: &[Complex],
+        scratch: &'s mut Self::Scratch,
+    ) -> Result<Self::Rx<'s>, &'static str>;
+    /// Whether the packet's FCS/CRC checks out.
+    fn check_ok(rx: &Self::Rx<'_>) -> bool;
+    /// The receiver-reported RSSI, dBm.
+    fn rssi_dbm(rx: &Self::Rx<'_>) -> f64;
+    /// Tag bits the tag embeds in a packet of `len` samples.
+    fn capacity(&self, len: usize) -> usize;
+    /// The tag's translation of `wave`, and the tag bits it consumed.
+    fn translate(&self, wave: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize);
+    /// The XOR decode of the tag bits from the two receivers' packets.
+    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Rx<'_>) -> Vec<u8>;
+}
+
+/// The backscatter packet loop of Fig. 1, for every PHY: `packets`
+/// excitation packets through receiver 1, the tag, the backscatter channel
+/// (plus `interferer`, if any, at receiver 2) and receiver 2, then the XOR
+/// decode.
+///
+/// Receiver 1 and the tag + receiver 2 are independent once the waveform
+/// exists, so each packet's two legs go through [`Executor::join_if`]: the
+/// backscatter leg runs on clones of the payload RNG, the backscatter
+/// channel and the interferer, committed only when receiver 1 decoded. A
+/// reference failure skips the tag and leaves all three untouched, exactly
+/// as if the leg never ran, so the statistics are the same bits on any
+/// executor.
+pub(crate) fn run_link<P: Phy>(
+    phy: &P,
+    draws: Draws,
+    mut interferer: Option<Interferer>,
+    exec: Executor,
+    [reference, backscatter]: &mut [P::Scratch; 2],
+) -> LinkStats {
+    let cfg = phy.config();
+    let mut rng = Rng64::derive(cfg.seed, stream::PAYLOAD);
+    let rssi = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m);
+    let floor = cfg.budget.noise_floor_dbm;
+    let mut ref_channel = Channel::new(
+        REFERENCE_RSSI_DBM,
+        floor,
+        Fading::None,
+        derive_seed(cfg.seed, stream::REF_CHANNEL),
+    );
+    let mut back_channel = Channel::new(
+        rssi,
+        floor,
+        cfg.fading,
+        derive_seed(cfg.seed, stream::BACK_CHANNEL),
+    )
+    .with_phase_noise(cfg.phase_noise);
+    if let Some(mp) = cfg.multipath {
+        back_channel = back_channel.with_multipath(mp);
+    }
+
+    let mut stats = LinkStats::new(rssi);
+    if !cfg.budget.tag_operational(cfg.d_tx_tag_m) {
+        // The excitation cannot power the tag's front end (§4.3's
+        // TX-to-tag bound): nothing is backscattered at all.
+        return stats;
+    }
+    let payload_len = cfg.payload_len.min(P::MAX_PAYLOAD);
+    for i in 0..cfg.packets {
+        // One flight-recorder scope per excitation packet; the id is
+        // derived from (seed, index) so it is worker-count independent.
+        let _pkt = trace::packet(P::SCOPE, derive_seed(cfg.seed, i as u64));
+        let wave = phy.transmit(draws, payload_len, &mut rng);
+        stats.add_airtime(wave.len() as f64 / P::SAMPLE_RATE);
+
+        let (ref_rx, back) = exec.join_if(
+            || {
+                let heard = ref_channel.propagate(&wave);
+                let ref_rx = phy.receive(Leg::Reference, &heard, reference);
+                // Only the *reference* copy is expected to pass the check;
+                // the backscattered copy fails it by design.
+                let failure = match &ref_rx {
+                    Ok(p) => (!P::check_ok(p)).then_some(P::REF_CHECK_FAILED),
+                    Err(label) => Some(*label),
+                };
+                if let Some(label) = failure {
+                    trace::fail(label);
+                }
+                stats.note_productive(failure.is_none());
+                ref_rx
+            },
+            Result::is_ok,
+            || {
+                let (mut rng, mut channel) = (rng.clone(), back_channel.clone());
+                let mut interferer = interferer.clone();
+                let tag_bits = rng.bits(phy.capacity(wave.len()));
+                let (tagged, consumed) = phy.translate(&wave, &tag_bits);
+                debug_assert_eq!(consumed, tag_bits.len());
+                let mut heard = channel.propagate_padded(&tagged, P::PAD);
+                if let Some(i) = interferer.as_mut() {
+                    i.add_to(&mut heard);
+                }
+                let back_rx = phy.receive(Leg::Backscatter, &heard, backscatter);
+                (rng, channel, interferer, tag_bits, back_rx)
+            },
+        );
+        let (Ok(original), Some((next_rng, next_channel, next_interferer, tag_bits, back_rx))) =
+            (ref_rx, back)
+        else {
+            continue;
+        };
+        (rng, back_channel, interferer) = (next_rng, next_channel, next_interferer);
+        stats.note_sent(tag_bits.len());
+
+        match back_rx {
+            Ok(pkt) => {
+                stats.note_measured_rssi(P::rssi_dbm(&pkt));
+                stats.note_decoded(&tag_bits, &phy.decode(&original, &pkt));
+            }
+            Err(label) => {
+                trace::fail(label);
+                stats.note_lost();
+            }
+        }
+    }
+    stats
+}
+
+/// A link's radios for one run: receivers 1 and 2, indexed by [`Leg`].
+pub(crate) struct Radios<'a, L, R> {
+    link: &'a L,
+    rx: [R; 2],
+}
 
 /// The 802.11g/n backscatter link.
 #[derive(Debug, Clone)]
@@ -111,15 +297,11 @@ pub enum WifiTagScheme {
 }
 
 /// Reusable working memory for one [`WifiLink`] worker: one receive
-/// arena per receiver, so both decoded copies of a packet stay live at
-/// once while everything underneath is reused packet to packet.
+/// arena per receiver (receiver 1's, then receiver 2's), so both decoded
+/// copies of a packet stay live at once while everything underneath is
+/// reused packet to packet.
 #[derive(Debug, Clone, Default)]
-pub struct WifiLinkScratch {
-    /// Arena for receiver 1 (the productive/reference decode).
-    reference: freerider_wifi::RxScratch,
-    /// Arena for receiver 2 (the backscatter decode).
-    backscatter: freerider_wifi::RxScratch,
-}
+pub struct WifiLinkScratch([freerider_wifi::RxScratch; 2]);
 
 impl WifiLinkScratch {
     /// Creates an empty scratch.
@@ -173,154 +355,106 @@ impl WifiLink {
     /// environment's executor allows it (see [`Executor::join_if`]); the
     /// statistics are the same bits either way.
     pub fn run_with(&self, scratch: &mut WifiLinkScratch) -> LinkStats {
-        self.run_on(Executor::from_env(), scratch)
+        let exec = Executor::from_env();
+        run_link(&self.radios(), Draws::Packed, None, exec, &mut scratch.0)
     }
 
-    /// [`WifiLink::run_with`] on an explicit executor.
-    fn run_on(&self, exec: Executor, scratch: &mut WifiLinkScratch) -> LinkStats {
-        use freerider_wifi::{Mpdu, Receiver, RxConfig, RxError, Transmitter, TxConfig};
-        let cfg = &self.config;
-        let mut rng = Rng64::derive(cfg.seed, stream::PAYLOAD);
-        let tx = Transmitter::new(TxConfig {
-            rate: self.excitation_rate,
-            ..TxConfig::default()
-        });
-        let rx_ref = Receiver::new(RxConfig {
+    /// The link's radios for one run.
+    pub(crate) fn radios(&self) -> Radios<'_, Self, freerider_wifi::Receiver> {
+        use freerider_wifi::{Receiver, RxConfig};
+        let reference = RxConfig {
             sensitivity_dbm: -200.0,
             ..self.rx_config
+        };
+        Radios {
+            link: self,
+            rx: [Receiver::new(reference), Receiver::new(self.rx_config)],
+        }
+    }
+}
+
+impl Phy for Radios<'_, WifiLink, freerider_wifi::Receiver> {
+    type Scratch = freerider_wifi::RxScratch;
+    type Rx<'s> = &'s freerider_wifi::RxPacket;
+    const SAMPLE_RATE: f64 = freerider_wifi::SAMPLE_RATE;
+    // Header + payload + FCS never exceeds the 4095-byte PSDU.
+    const MAX_PAYLOAD: usize = freerider_wifi::plcp::MAX_PSDU_LEN
+        - freerider_wifi::frame::HEADER_LEN
+        - freerider_wifi::frame::FCS_LEN;
+    const PAD: usize = 200;
+    const SCOPE: &'static str = "wifi.link";
+    const REF_CHECK_FAILED: &'static str = "wifi.ref.fcs_bad";
+
+    fn config(&self) -> &LinkConfig {
+        &self.link.config
+    }
+
+    fn transmit(&self, draws: Draws, len: usize, rng: &mut Rng64) -> Vec<Complex> {
+        use freerider_wifi::{frame::MacAddr, Mpdu, Transmitter, TxConfig};
+        let seq = match draws {
+            Draws::Packed => rng.below(4096) as u16,
+            Draws::PerByte => 0,
+        };
+        let payload = draws.payload(len, rng);
+        let frame = Mpdu::build(MacAddr::local(1), MacAddr::local(2), seq, &payload);
+        let tx = Transmitter::new(TxConfig {
+            rate: self.link.excitation_rate,
+            ..TxConfig::default()
         });
-        let rx_back = Receiver::new(self.rx_config);
-        let n_dbps = tx.config().rate.data_bits_per_symbol();
+        // lint: allow(panic) — run_link clamps the payload to MAX_PAYLOAD
+        tx.transmit(frame.as_bytes()).expect("payload fits")
+    }
 
-        let rssi = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m);
-        let floor = cfg.budget.noise_floor_dbm;
-        let mut ref_channel = Channel::new(
-            REFERENCE_RSSI_DBM,
-            floor,
-            Fading::None,
-            derive_seed(cfg.seed, stream::REF_CHANNEL),
-        );
-        let mut back_channel = Channel::new(
-            rssi,
-            floor,
-            cfg.fading,
-            derive_seed(cfg.seed, stream::BACK_CHANNEL),
-        )
-        .with_phase_noise(cfg.phase_noise);
-        if let Some(mp) = cfg.multipath {
-            back_channel = back_channel.with_multipath(mp);
+    fn receive<'s>(
+        &self,
+        leg: Leg,
+        heard: &[Complex],
+        scratch: &'s mut freerider_wifi::RxScratch,
+    ) -> Result<Self::Rx<'s>, &'static str> {
+        use freerider_wifi::RxError;
+        let rx = self.rx[leg as usize].receive_with(heard, scratch);
+        rx.map_err(|e| match (leg, e) {
+            (Leg::Reference, _) => "wifi.ref.rx_error",
+            (_, RxError::NoPreamble) => "wifi.back.no_preamble",
+            (_, RxError::BadSignal(_)) => "wifi.back.bad_signal",
+            (_, RxError::Truncated) => "wifi.back.truncated",
+        })
+    }
+
+    fn check_ok(rx: &Self::Rx<'_>) -> bool {
+        rx.fcs_valid
+    }
+
+    fn rssi_dbm(rx: &Self::Rx<'_>) -> f64 {
+        rx.rssi_dbm
+    }
+
+    fn capacity(&self, len: usize) -> usize {
+        self.link.translator.capacity(len)
+    }
+
+    fn translate(&self, wave: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize) {
+        self.link.translator.translate(wave, tag_bits)
+    }
+
+    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Rx<'_>) -> Vec<u8> {
+        let steps = self.link.translator.symbols_per_step;
+        match self.link.scheme {
+            WifiTagScheme::Binary => decoder::decode_wifi_binary(
+                &original.data_bits,
+                &backscattered.data_bits,
+                self.link.excitation_rate.data_bits_per_symbol(),
+                steps,
+                1,
+            ),
+            WifiTagScheme::Quaternary => decoder::decode_wifi_quaternary(
+                &original.equalized,
+                &backscattered.equalized,
+                steps,
+                1,
+                self.link.translator.delta_theta,
+            ),
         }
-
-        let mut stats = LinkStats::new(rssi);
-        if !cfg.budget.tag_operational(cfg.d_tx_tag_m) {
-            // The excitation cannot power the tag's front end (§4.3's
-            // TX-to-tag bound): nothing is backscattered at all.
-            return stats;
-        }
-        // Clamp so header + payload + FCS never exceeds the 4095-byte PSDU.
-        let payload_len = cfg.payload_len.min(
-            freerider_wifi::plcp::MAX_PSDU_LEN
-                - freerider_wifi::frame::HEADER_LEN
-                - freerider_wifi::frame::FCS_LEN,
-        );
-        let WifiLinkScratch {
-            reference,
-            backscatter,
-        } = scratch;
-        for i in 0..cfg.packets {
-            // One flight-recorder scope per excitation packet; the id is
-            // derived from (seed, index) so it is worker-count independent.
-            let _pkt = trace::packet("wifi.link", derive_seed(cfg.seed, i as u64));
-            let frame = Mpdu::build(
-                freerider_wifi::frame::MacAddr::local(1),
-                freerider_wifi::frame::MacAddr::local(2),
-                rng.below(4096) as u16,
-                &random_bytes(payload_len, &mut rng),
-            );
-            // lint: allow(panic) — payload_len clamped above so the PSDU fits
-            let wave = tx.transmit(frame.as_bytes()).expect("payload fits");
-            stats.add_airtime(wave.len() as f64 / freerider_wifi::SAMPLE_RATE);
-
-            // Receiver 1 (the productive link) and the tag + receiver 2
-            // (the backscatter path) are independent once the waveform
-            // exists. The backscatter leg runs on clones of the payload RNG
-            // and the backscatter channel, committed below only when
-            // receiver 1 decoded: a reference failure skips the tag and
-            // leaves both untouched, exactly as if the leg never ran.
-            let (ref_rx, back) = exec.join_if(
-                || {
-                    let ref_rx = rx_ref.receive_with(&ref_channel.propagate(&wave), reference);
-                    match &ref_rx {
-                        Ok(p) => {
-                            if !p.fcs_valid {
-                                // Only the *reference* copy is expected to
-                                // pass FCS; the backscattered copy fails it
-                                // by design.
-                                trace::fail("wifi.ref.fcs_bad");
-                            }
-                            stats.note_productive(p.fcs_valid);
-                        }
-                        Err(_) => {
-                            trace::fail("wifi.ref.rx_error");
-                            stats.note_productive(false);
-                        }
-                    }
-                    ref_rx
-                },
-                Result::is_ok,
-                || {
-                    let mut rng = rng.clone();
-                    let mut channel = back_channel.clone();
-                    // The tag.
-                    let tag_bits = random_bits(self.translator.capacity(wave.len()), &mut rng);
-                    let (tagged, consumed) = self.translator.translate(&wave, &tag_bits);
-                    debug_assert_eq!(consumed, tag_bits.len());
-                    // Receiver 2.
-                    let heard = channel.propagate_padded(&tagged, 200);
-                    let back_rx = rx_back.receive_with(&heard, backscatter);
-                    (rng, channel, tag_bits, back_rx)
-                },
-            );
-            let (Ok(original), Some((next_rng, next_channel, tag_bits, back_rx))) = (ref_rx, back)
-            else {
-                continue;
-            };
-            rng = next_rng;
-            back_channel = next_channel;
-            stats.note_sent(tag_bits.len());
-
-            match back_rx {
-                Ok(pkt) => {
-                    stats.note_measured_rssi(pkt.rssi_dbm);
-                    let decoded = match self.scheme {
-                        WifiTagScheme::Binary => decoder::decode_wifi_binary(
-                            &original.data_bits,
-                            &pkt.data_bits,
-                            n_dbps,
-                            self.translator.symbols_per_step,
-                            1,
-                        ),
-                        WifiTagScheme::Quaternary => decoder::decode_wifi_quaternary(
-                            &original.equalized,
-                            &pkt.equalized,
-                            self.translator.symbols_per_step,
-                            1,
-                            self.translator.delta_theta,
-                        ),
-                    };
-                    stats.note_decoded(&tag_bits, &decoded);
-                }
-                Err(e) => {
-                    trace::fail(match e {
-                        RxError::NoPreamble => "wifi.back.no_preamble",
-                        RxError::BadSignal(_) => "wifi.back.bad_signal",
-                        RxError::Truncated => "wifi.back.truncated",
-                    });
-                    stats.note_lost();
-                }
-            }
-        }
-        stats
     }
 }
 
@@ -346,92 +480,85 @@ impl ZigbeeLink {
         }
     }
 
-    /// Runs the link.
+    /// Runs the link; each packet's two legs run as in
+    /// [`WifiLink::run_with`].
     pub fn run(&self) -> LinkStats {
-        use freerider_zigbee::{Receiver, RxConfig, RxError, Transmitter};
-        let cfg = &self.config;
-        let mut rng = Rng64::derive(cfg.seed, stream::PAYLOAD);
-        let tx = Transmitter::new();
-        let rx_ref = Receiver::new(RxConfig {
+        let exec = Executor::from_env();
+        run_link(&self.radios(), Draws::Packed, None, exec, &mut [(), ()])
+    }
+
+    /// The link's radios for one run.
+    pub(crate) fn radios(&self) -> Radios<'_, Self, freerider_zigbee::Receiver> {
+        use freerider_zigbee::{Receiver, RxConfig};
+        let reference = RxConfig {
             sensitivity_dbm: -200.0,
             ..RxConfig::default()
-        });
-        let rx_back = Receiver::new(self.rx_config);
+        };
+        Radios {
+            link: self,
+            rx: [Receiver::new(reference), Receiver::new(self.rx_config)],
+        }
+    }
+}
 
-        let rssi = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m);
-        let floor = cfg.budget.noise_floor_dbm;
-        let mut ref_channel = Channel::new(
-            REFERENCE_RSSI_DBM,
-            floor,
-            Fading::None,
-            derive_seed(cfg.seed, stream::REF_CHANNEL),
-        );
-        let mut back_channel = Channel::new(
-            rssi,
-            floor,
-            cfg.fading,
-            derive_seed(cfg.seed, stream::BACK_CHANNEL),
+impl Phy for Radios<'_, ZigbeeLink, freerider_zigbee::Receiver> {
+    type Scratch = ();
+    type Rx<'s> = freerider_zigbee::RxPacket;
+    const SAMPLE_RATE: f64 = freerider_zigbee::SAMPLE_RATE;
+    const MAX_PAYLOAD: usize = 125;
+    const PAD: usize = 150;
+    const SCOPE: &'static str = "zigbee.link";
+    const REF_CHECK_FAILED: &'static str = "zigbee.ref.fcs_bad";
+
+    fn config(&self) -> &LinkConfig {
+        &self.link.config
+    }
+
+    fn transmit(&self, draws: Draws, len: usize, rng: &mut Rng64) -> Vec<Complex> {
+        let payload = draws.payload(len, rng);
+        let tx = freerider_zigbee::Transmitter::new();
+        // lint: allow(panic) — run_link clamps the payload to MAX_PAYLOAD
+        tx.transmit(&payload).expect("payload fits")
+    }
+
+    fn receive<'s>(
+        &self,
+        leg: Leg,
+        heard: &[Complex],
+        _: &'s mut (),
+    ) -> Result<Self::Rx<'s>, &'static str> {
+        use freerider_zigbee::RxError;
+        let rx = self.rx[leg as usize].receive(heard);
+        rx.map_err(|e| match (leg, e) {
+            (Leg::Reference, _) => "zigbee.ref.rx_error",
+            (_, RxError::NoPreamble) => "zigbee.back.no_preamble",
+            (_, RxError::NoSfd) => "zigbee.back.no_sfd",
+            (_, RxError::Truncated) => "zigbee.back.truncated",
+        })
+    }
+
+    fn check_ok(rx: &Self::Rx<'_>) -> bool {
+        rx.fcs_valid
+    }
+
+    fn rssi_dbm(rx: &Self::Rx<'_>) -> f64 {
+        rx.rssi_dbm
+    }
+
+    fn capacity(&self, len: usize) -> usize {
+        self.link.translator.capacity(len)
+    }
+
+    fn translate(&self, wave: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize) {
+        self.link.translator.translate(wave, tag_bits)
+    }
+
+    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Rx<'_>) -> Vec<u8> {
+        decoder::decode_zigbee_binary(
+            &original.psdu_symbols,
+            &backscattered.psdu_symbols,
+            self.link.translator.symbols_per_step,
         )
-        .with_phase_noise(cfg.phase_noise);
-        if let Some(mp) = cfg.multipath {
-            back_channel = back_channel.with_multipath(mp);
-        }
-
-        let payload_len = cfg.payload_len.min(125);
-        let mut stats = LinkStats::new(rssi);
-        if !cfg.budget.tag_operational(cfg.d_tx_tag_m) {
-            // The excitation cannot power the tag's front end (§4.3's
-            // TX-to-tag bound): nothing is backscattered at all.
-            return stats;
-        }
-        for i in 0..cfg.packets {
-            let _pkt = trace::packet("zigbee.link", derive_seed(cfg.seed, i as u64));
-            let wave = tx
-                .transmit(&random_bytes(payload_len, &mut rng))
-                .expect("payload fits"); // lint: allow(panic) — payload_len clamped to the PHY maximum
-            stats.add_airtime(wave.len() as f64 / freerider_zigbee::SAMPLE_RATE);
-
-            let original = match rx_ref.receive(&ref_channel.propagate(&wave)) {
-                Ok(p) => {
-                    if !p.fcs_valid {
-                        trace::fail("zigbee.ref.fcs_bad");
-                    }
-                    stats.note_productive(p.fcs_valid);
-                    p
-                }
-                Err(_) => {
-                    trace::fail("zigbee.ref.rx_error");
-                    stats.note_productive(false);
-                    continue;
-                }
-            };
-
-            let tag_bits = random_bits(self.translator.capacity(wave.len()), &mut rng);
-            let (tagged, consumed) = self.translator.translate(&wave, &tag_bits);
-            debug_assert_eq!(consumed, tag_bits.len());
-            stats.note_sent(tag_bits.len());
-
-            match rx_back.receive(&back_channel.propagate_padded(&tagged, 150)) {
-                Ok(pkt) => {
-                    stats.note_measured_rssi(pkt.rssi_dbm);
-                    let decoded = decoder::decode_zigbee_binary(
-                        &original.psdu_symbols,
-                        &pkt.psdu_symbols,
-                        self.translator.symbols_per_step,
-                    );
-                    stats.note_decoded(&tag_bits, &decoded);
-                }
-                Err(e) => {
-                    trace::fail(match e {
-                        RxError::NoPreamble => "zigbee.back.no_preamble",
-                        RxError::NoSfd => "zigbee.back.no_sfd",
-                        RxError::Truncated => "zigbee.back.truncated",
-                    });
-                    stats.note_lost();
-                }
-            }
-        }
-        stats
     }
 }
 
@@ -458,98 +585,92 @@ impl BleLink {
         }
     }
 
-    /// Runs the link.
+    /// Runs the link; each packet's two legs run as in
+    /// [`WifiLink::run_with`].
     pub fn run(&self) -> LinkStats {
-        use freerider_ble::{Receiver, RxConfig, RxError, Transmitter};
-        let cfg = &self.config;
-        let mut rng = Rng64::derive(cfg.seed, stream::PAYLOAD);
-        let tx = Transmitter::new();
-        let rx_ref = Receiver::new(RxConfig {
+        let exec = Executor::from_env();
+        run_link(&self.radios(), Draws::Packed, None, exec, &mut [(), ()])
+    }
+
+    /// The link's radios for one run.
+    pub(crate) fn radios(&self) -> Radios<'_, Self, freerider_ble::Receiver> {
+        use freerider_ble::{Receiver, RxConfig};
+        let reference = RxConfig {
             sensitivity_dbm: -200.0,
             ..RxConfig::default()
-        });
-        let rx_back = Receiver::new(self.rx_config);
+        };
+        Radios {
+            link: self,
+            rx: [Receiver::new(reference), Receiver::new(self.rx_config)],
+        }
+    }
+}
 
-        let rssi = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m);
-        let floor = cfg.budget.noise_floor_dbm;
-        let mut ref_channel = Channel::new(
-            REFERENCE_RSSI_DBM,
-            floor,
-            Fading::None,
-            derive_seed(cfg.seed, stream::REF_CHANNEL),
-        );
-        let mut back_channel = Channel::new(
-            rssi,
-            floor,
-            cfg.fading,
-            derive_seed(cfg.seed, stream::BACK_CHANNEL),
+impl Phy for Radios<'_, BleLink, freerider_ble::Receiver> {
+    type Scratch = ();
+    type Rx<'s> = freerider_ble::RxPacket;
+    const SAMPLE_RATE: f64 = freerider_ble::SAMPLE_RATE;
+    const MAX_PAYLOAD: usize = 37;
+    const PAD: usize = 200;
+    const SCOPE: &'static str = "ble.link";
+    const REF_CHECK_FAILED: &'static str = "ble.ref.crc_bad";
+
+    fn config(&self) -> &LinkConfig {
+        &self.link.config
+    }
+
+    fn transmit(&self, draws: Draws, len: usize, rng: &mut Rng64) -> Vec<Complex> {
+        let payload = draws.payload(len, rng);
+        let tx = freerider_ble::Transmitter::new();
+        // lint: allow(panic) — run_link clamps the payload to MAX_PAYLOAD
+        tx.transmit(&payload).expect("payload fits")
+    }
+
+    fn receive<'s>(
+        &self,
+        leg: Leg,
+        heard: &[Complex],
+        _: &'s mut (),
+    ) -> Result<Self::Rx<'s>, &'static str> {
+        use freerider_ble::RxError;
+        let rx = self.rx[leg as usize].receive(heard);
+        rx.map_err(|e| match (leg, e) {
+            (Leg::Reference, _) => "ble.ref.rx_error",
+            (_, RxError::NoSync) => "ble.back.no_sync",
+            (_, RxError::Truncated(_)) => "ble.back.truncated",
+        })
+    }
+
+    fn check_ok(rx: &Self::Rx<'_>) -> bool {
+        rx.crc_valid
+    }
+
+    fn rssi_dbm(rx: &Self::Rx<'_>) -> f64 {
+        rx.rssi_dbm
+    }
+
+    fn capacity(&self, len: usize) -> usize {
+        self.link.translator.capacity(len)
+    }
+
+    fn translate(&self, wave: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize) {
+        self.link.translator.translate(wave, tag_bits)
+    }
+
+    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Rx<'_>) -> Vec<u8> {
+        decoder::decode_ble_binary(
+            &original.pdu_bits,
+            &backscattered.pdu_bits,
+            self.link.translator.bits_per_tag_bit,
+            16,
         )
-        .with_phase_noise(cfg.phase_noise);
-        if let Some(mp) = cfg.multipath {
-            back_channel = back_channel.with_multipath(mp);
-        }
-
-        let payload_len = cfg.payload_len.min(37);
-        let mut stats = LinkStats::new(rssi);
-        if !cfg.budget.tag_operational(cfg.d_tx_tag_m) {
-            // The excitation cannot power the tag's front end (§4.3's
-            // TX-to-tag bound): nothing is backscattered at all.
-            return stats;
-        }
-        for i in 0..cfg.packets {
-            let _pkt = trace::packet("ble.link", derive_seed(cfg.seed, i as u64));
-            let wave = tx
-                .transmit(&random_bytes(payload_len, &mut rng))
-                .expect("payload fits"); // lint: allow(panic) — payload_len clamped to the PHY maximum
-            stats.add_airtime(wave.len() as f64 / freerider_ble::SAMPLE_RATE);
-
-            let original = match rx_ref.receive(&ref_channel.propagate(&wave)) {
-                Ok(p) => {
-                    if !p.crc_valid {
-                        trace::fail("ble.ref.crc_bad");
-                    }
-                    stats.note_productive(p.crc_valid);
-                    p
-                }
-                Err(_) => {
-                    trace::fail("ble.ref.rx_error");
-                    stats.note_productive(false);
-                    continue;
-                }
-            };
-
-            let tag_bits = random_bits(self.translator.capacity(wave.len()), &mut rng);
-            let (tagged, consumed) = self.translator.translate(&wave, &tag_bits);
-            debug_assert_eq!(consumed, tag_bits.len());
-            stats.note_sent(tag_bits.len());
-
-            match rx_back.receive(&back_channel.propagate_padded(&tagged, 200)) {
-                Ok(pkt) => {
-                    stats.note_measured_rssi(pkt.rssi_dbm);
-                    let decoded = decoder::decode_ble_binary(
-                        &original.pdu_bits,
-                        &pkt.pdu_bits,
-                        self.translator.bits_per_tag_bit,
-                        16,
-                    );
-                    stats.note_decoded(&tag_bits, &decoded);
-                }
-                Err(e) => {
-                    trace::fail(match e {
-                        RxError::NoSync => "ble.back.no_sync",
-                        RxError::Truncated(_) => "ble.back.truncated",
-                    });
-                    stats.note_lost();
-                }
-            }
-        }
-        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Technology;
 
     fn wifi_cfg(d: f64) -> LinkConfig {
         LinkConfig {
@@ -598,19 +719,34 @@ mod tests {
         ]
     }
 
-    /// Runs `link` serially and with its two legs on two threads; the
+    /// Runs `phy` serially and with its two legs on two threads; the
     /// statistics must be the same bits.
-    fn serial_and_concurrent(link: &WifiLink) -> LinkStats {
-        let mut scratch = WifiLinkScratch::new();
-        let serial = link.run_on(Executor::serial(), &mut scratch);
-        let concurrent = link.run_on(Executor::new(2), &mut scratch);
+    fn serial_and_concurrent<P: Phy>(
+        phy: &P,
+        draws: Draws,
+        interferer: Option<Interferer>,
+    ) -> LinkStats {
+        let mut scratch = Default::default();
+        let serial = run_link(
+            phy,
+            draws,
+            interferer.clone(),
+            Executor::serial(),
+            &mut scratch,
+        );
+        let concurrent = run_link(phy, draws, interferer, Executor::new(2), &mut scratch);
         assert_eq!(
             stat_bits(&serial),
             stat_bits(&concurrent),
             "seed {}: {serial:?} vs {concurrent:?}",
-            link.config.seed
+            phy.config().seed
         );
         serial
+    }
+
+    /// [`serial_and_concurrent`] for a link's own run.
+    fn both(phy: &impl Phy) -> LinkStats {
+        serial_and_concurrent(phy, Draws::Packed, None)
     }
 
     #[test]
@@ -621,53 +757,138 @@ mod tests {
                 seed,
                 ..wifi_cfg(20.0)
             };
-            let s = serial_and_concurrent(&WifiLink::new(cfg.clone()));
+            let s = both(&WifiLink::new(cfg.clone()).radios());
             assert!(s.packets_decoded > 0, "{s:?}");
-            let s = serial_and_concurrent(&WifiLink::new_quaternary(cfg));
+            let s = both(&WifiLink::new_quaternary(cfg).radios());
             assert!(s.packets_decoded > 0, "{s:?}");
         }
     }
 
-    #[test]
-    fn wifi_link_reference_failure_rolls_the_backscatter_leg_back() {
-        // A noise floor above receiver 1's −45 dBm: the reference leg
-        // fails on every packet, so the speculative backscatter leg's
-        // RNG and channel draws are discarded each time.
-        let mut budget = BackscatterBudget::wifi_los();
-        budget.noise_floor_dbm = -40.0;
-        let s = serial_and_concurrent(&WifiLink::new(LinkConfig {
-            budget,
-            ..wifi_cfg(2.0)
-        }));
-        assert_eq!(
-            (s.packets_sent, s.productive_ok, s.tag_bits_sent),
-            (4, 0, 0)
-        );
+    /// [`serial_and_concurrent`] on `tech`'s standard link over `cfg`.
+    fn both_for(
+        tech: Technology,
+        cfg: LinkConfig,
+        draws: Draws,
+        interferer: Option<Interferer>,
+    ) -> LinkStats {
+        match tech {
+            Technology::Wifi => {
+                serial_and_concurrent(&WifiLink::new(cfg).radios(), draws, interferer)
+            }
+            Technology::Zigbee => {
+                serial_and_concurrent(&ZigbeeLink::new(cfg).radios(), draws, interferer)
+            }
+            Technology::Ble => {
+                serial_and_concurrent(&BleLink::new(cfg).radios(), draws, interferer)
+            }
+        }
+    }
 
-        // A marginal reference leg (0.5 dB SNR) beside a strong
-        // backscatter leg: packets after a discarded leg decode only with
-        // the payload RNG and backscatter channel the serial program would
-        // hold, so a wrong commit moves the tag bits and the measured RSSI.
-        let mut budget = BackscatterBudget::wifi_los();
-        budget.noise_floor_dbm = -45.5;
+    const TECHS: [Technology; 3] = [Technology::Wifi, Technology::Zigbee, Technology::Ble];
+
+    /// Four short packets 2 m from the receiver on a flat channel.
+    fn short_cfg(budget: BackscatterBudget) -> LinkConfig {
+        LinkConfig {
+            payload_len: 37,
+            packets: 4,
+            fading: Fading::None,
+            ..LinkConfig::new(budget, 2.0, 7)
+        }
+    }
+
+    /// A marginal reference leg beside a strong backscatter leg: receiver
+    /// 1's −45 dBm sits a few dB at most above `floor_dbm`, so it decodes
+    /// some packets and not others.
+    fn marginal_cfg(tech: Technology, floor_dbm: f64) -> LinkConfig {
+        let mut budget = tech.los_budget();
+        budget.noise_floor_dbm = floor_dbm;
         budget.tx_power_dbm += 38.0;
-        let cfg = LinkConfig {
-            budget,
+        LinkConfig {
             packets: 12,
-            ..wifi_cfg(2.0)
-        };
-        let s = serial_and_concurrent(&WifiLink::new(cfg.clone()));
-        let every_packet = WifiLink::new(LinkConfig {
-            budget: BackscatterBudget::wifi_los(),
-            ..cfg
-        })
-        .run()
-        .tag_bits_sent;
-        assert!(
-            s.tag_bits_sent < every_packet,
-            "some reference legs must fail: {s:?}"
-        );
-        assert!(s.packets_decoded > 0, "{s:?}");
+            ..short_cfg(budget)
+        }
+    }
+
+    /// Per technology, a receiver-1 noise floor that fails some reference
+    /// legs and passes others.
+    const MARGINAL_FLOOR_DBM: [f64; 3] = [-45.5, -42.0, -42.0];
+
+    #[test]
+    fn reference_failure_rolls_the_backscatter_leg_back() {
+        for (tech, floor) in TECHS.into_iter().zip(MARGINAL_FLOOR_DBM) {
+            // A noise floor 15 dB above receiver 1's −45 dBm: the
+            // reference leg fails on every packet, so the speculative
+            // backscatter leg's RNG and channel draws are discarded each
+            // time.
+            let mut budget = tech.los_budget();
+            budget.noise_floor_dbm = -30.0;
+            let s = both_for(tech, short_cfg(budget), Draws::Packed, None);
+            assert_eq!(
+                (s.packets_sent, s.productive_ok, s.tag_bits_sent),
+                (4, 0, 0),
+                "{tech:?}"
+            );
+
+            // Packets after a discarded leg decode only with the payload
+            // RNG and backscatter channel the serial program would hold,
+            // so a wrong commit moves the tag bits and the measured RSSI.
+            let cfg = marginal_cfg(tech, floor);
+            let s = both_for(tech, cfg.clone(), Draws::Packed, None);
+            let every_packet = both_for(
+                tech,
+                LinkConfig {
+                    budget: tech.los_budget(),
+                    ..cfg
+                },
+                Draws::Packed,
+                None,
+            );
+            assert!(
+                s.tag_bits_sent < every_packet.tag_bits_sent,
+                "{tech:?}: some reference legs must fail: {s:?}"
+            );
+            assert!(s.packets_decoded > 0, "{tech:?}: {s:?}");
+        }
+    }
+
+    #[test]
+    fn zigbee_and_ble_legs_are_bit_identical_on_two_threads() {
+        for (tech, d) in [(Technology::Zigbee, 22.0), (Technology::Ble, 12.0)] {
+            for seed in 0..4 {
+                let cfg = LinkConfig {
+                    payload_len: 40,
+                    packets: 4,
+                    multipath: Some(tech.multipath()),
+                    phase_noise: 2e-4,
+                    ..LinkConfig::new(tech.los_budget(), d, seed)
+                };
+                let s = both_for(tech, cfg, Draws::Packed, None);
+                assert!(s.packets_decoded > 0, "{tech:?} seed {seed}: {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_byte_draws_with_an_interferer_are_bit_identical_on_two_threads() {
+        // The Fig. 16 window's draws, with its interferer on the
+        // backscatter path and reference legs that sometimes fail: the
+        // interferer's bursts after a discarded leg come from the state
+        // the serial program would hold only if the leg ran on a clone.
+        for (tech, floor) in TECHS.into_iter().zip(MARGINAL_FLOOR_DBM) {
+            let cfg = marginal_cfg(tech, floor);
+            let interferer = || {
+                let leak = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m) - 6.0;
+                Some(Interferer::new(leak, 0.0, 0.18, 12_000, cfg.seed))
+            };
+            let s = both_for(tech, cfg.clone(), Draws::PerByte, interferer());
+            let quiet = both_for(tech, cfg.clone(), Draws::PerByte, None);
+            assert_eq!(s.tag_bits_sent, quiet.tag_bits_sent, "{tech:?}");
+            assert_ne!(
+                (s.tag_bits_correct, s.measured_rssi_dbm.to_bits()),
+                (quiet.tag_bits_correct, quiet.measured_rssi_dbm.to_bits()),
+                "{tech:?}: the interferer must reach receiver 2"
+            );
+        }
     }
 
     #[test]
