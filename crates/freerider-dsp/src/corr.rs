@@ -116,7 +116,7 @@ pub fn normalized_correlation_lanes_into<const LANES: usize>(
         return;
     }
     let m = reference.len();
-    let mut win_energy: f64 = signal[..m].iter().map(|z| z.norm_sqr()).sum();
+    let mut win_energy = energy(&signal[..m]);
     let mut n = 0usize;
     while n + LANES <= n_out {
         // Serial window-energy chain for this block, evolved exactly as
@@ -126,10 +126,7 @@ pub fn normalized_correlation_lanes_into<const LANES: usize>(
         for (l, e) in en.iter_mut().enumerate() {
             *e = win_energy;
             if n + l + 1 < n_out {
-                win_energy += signal[n + l + m].norm_sqr() - signal[n + l].norm_sqr();
-                if win_energy < 0.0 {
-                    win_energy = 0.0;
-                }
+                win_energy = slide_energy(win_energy, signal, n + l + 1, m);
             }
         }
         let mut acc_re = [0.0f64; LANES];
@@ -165,12 +162,34 @@ pub fn normalized_correlation_lanes_into<const LANES: usize>(
             0.0
         });
         if n + 1 < n_out {
-            win_energy += signal[n + m].norm_sqr() - signal[n].norm_sqr();
-            if win_energy < 0.0 {
-                win_energy = 0.0;
-            }
+            win_energy = slide_energy(win_energy, signal, n + 1, m);
         }
         n += 1;
+    }
+}
+
+/// `Σ|z|²` over `window`, in index order.
+#[inline]
+fn energy(window: &[Complex]) -> f64 {
+    window.iter().map(|z| z.norm_sqr()).sum()
+}
+
+/// The energy of the `m`-sample window at `start`, from `e`, the energy
+/// of the window one sample earlier: add the sample entering, drop the
+/// one leaving, clamp a rounding negative to 0. When that is no longer
+/// finite (a NaN or ∞ sample entered or left) the window is summed
+/// directly instead, so a non-finite sample spoils only the outputs whose
+/// windows hold it, not every output after it. A finite signal never
+/// takes that branch.
+#[inline]
+fn slide_energy(e: f64, signal: &[Complex], start: usize, m: usize) -> f64 {
+    let e = e + (signal[start + m - 1].norm_sqr() - signal[start - 1].norm_sqr());
+    if e < 0.0 {
+        0.0
+    } else if e.is_finite() {
+        e
+    } else {
+        energy(&signal[start..start + m])
     }
 }
 
@@ -268,8 +287,9 @@ mod tests {
         Some((i, best))
     }
 
-    /// The scalar (pre-lane) normalised-correlation kernel, retained
-    /// verbatim as the bit-identity oracle for the lane-batched one.
+    /// The scalar (pre-lane) normalised-correlation kernel, the
+    /// bit-identity oracle for the lane-batched one. Like the kernel, it
+    /// re-sums a window whose running energy is no longer finite.
     fn normalized_correlation_scalar_into(
         signal: &[Complex],
         reference: &[Complex],
@@ -303,6 +323,10 @@ mod tests {
                 win_energy += signal[n + reference.len()].norm_sqr() - signal[n].norm_sqr();
                 if win_energy < 0.0 {
                     win_energy = 0.0;
+                } else if !win_energy.is_finite() {
+                    // A NaN or ∞ sample entered or left: re-sum the window.
+                    let window = &signal[n + 1..n + 1 + reference.len()];
+                    win_energy = window.iter().map(|z| z.norm_sqr()).sum();
                 }
             }
         }
@@ -497,14 +521,30 @@ mod tests {
         let noise = NoiseSource::new(6, 1.0).take(1000);
         check_crossing(&noise, &reference, thr, "noise");
         assert_eq!(first_crossing_oracle(&noise, &reference, thr, 4), None);
-        // NaN-poisoned input, before, inside and after the preamble.
-        for nan_at in [0usize, 30, 100, 180, 399] {
+        // NaN-poisoned input, before, inside and after the preamble. A NaN
+        // spoils only the outputs whose windows hold it: outside the
+        // windows the lock reads, the lock is the clean signal's; inside,
+        // it moves to the first window clear of the NaN.
+        for (nan_at, lock) in [
+            (0usize, (83, 86)),
+            (30, (83, 86)),
+            (100, (101, 101)),
+            (180, (83, 86)),
+            (399, (83, 86)),
+        ] {
             let mut signal = NoiseSource::new(7, 0.3).take(400);
             for (k, &r) in reference.iter().enumerate() {
                 signal[100 + k] += r;
             }
+            assert_eq!(
+                first_crossing_oracle(&signal, &reference, thr, 4),
+                Some((83, 86))
+            );
             signal[nan_at] = Complex::new(f64::NAN, 0.0);
             check_crossing(&signal, &reference, thr, &format!("NaN at {nan_at}"));
+            let mut out = Vec::new();
+            let got = first_crossing_into(&signal, &reference, thr, 4, &mut out);
+            assert_eq!(got, Some(lock), "NaN at {nan_at}");
         }
         // Too short for one window, and exactly one window.
         let short = NoiseSource::new(8, 1.0).take(63);

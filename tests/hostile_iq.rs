@@ -172,6 +172,30 @@ fn zigbee_receiver_survives_hostile_iq() {
     assert!(rx.receive(&late).unwrap().fcs_valid);
 }
 
+/// One NaN sample in the noise before a packet spoils only the preamble
+/// correlation windows that hold it, not every window after it: the
+/// search still locks on the packet and the frame decodes.
+#[test]
+fn zigbee_packet_after_a_nan_sample_still_decodes() {
+    use freerider::zigbee::{Receiver, RxConfig, Transmitter};
+    let rx = Receiver::new(RxConfig {
+        sensitivity_dbm: -200.0,
+        ..RxConfig::default()
+    });
+    let lead = 300;
+    let mut buf = freerider::dsp::noise::NoiseSource::new(23, 0.01).take(lead);
+    buf.extend_from_slice(&Transmitter::new().transmit(&[0x37; 20]).unwrap());
+    for nan_at in [0, 50, 150, lead - 1] {
+        let mut poisoned = buf.clone();
+        poisoned[nan_at] = Complex::new(f64::NAN, 0.0);
+        let pkt = rx
+            .receive(&poisoned)
+            .unwrap_or_else(|e| panic!("NaN at {nan_at}: {e:?}"));
+        assert!(pkt.fcs_valid, "NaN at {nan_at}");
+        assert_eq!(pkt.ppdu.payload(), &[0x37; 20], "NaN at {nan_at}");
+    }
+}
+
 #[test]
 fn ble_receiver_survives_hostile_iq() {
     use freerider::ble::{Receiver, RxConfig, Transmitter};
