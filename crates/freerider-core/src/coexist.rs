@@ -16,7 +16,9 @@
 //!   narrowband ZigBee/Bluetooth receivers filter most of it out (1–2 kbps
 //!   shift), matching §4.4.2.
 
-use crate::link::{run_link, BleLink, Draws, Fading, LinkConfig, Phy, WifiLink, ZigbeeLink};
+use crate::link::{
+    run_link, BleLink, Draws, Fading, LinkConfig, Phy, WifiLink, WifiLinkScratch, ZigbeeLink,
+};
 use crate::metrics::{Cdf, LinkStats};
 use freerider_channel::interference::Interferer;
 use freerider_rt::{derive_seed, stream, Executor, Rng64};
@@ -126,12 +128,13 @@ pub fn backscatter_coexistence_on(
     seed: u64,
 ) -> BackscatterCoexistResult {
     let window_ids: Vec<u64> = (0..windows as u64).collect();
-    let pairs = executor.map(&window_ids, |_, &w| {
+    let pairs = executor.map_with(&window_ids, WifiLinkScratch::new, |_, &w, scratch| {
         let s = derive_seed(seed, w);
         let leak = interferer_leak_dbm(tech);
+        let mut window = |leak| coexist_window(tech, packets_per_window, leak, s, scratch);
         (
-            coexist_window(tech, packets_per_window, None, s).throughput_bps(),
-            coexist_window(tech, packets_per_window, Some(leak), s).throughput_bps(),
+            window(None).throughput_bps(),
+            window(Some(leak)).throughput_bps(),
         )
     });
     let mut absent = Cdf::new();
@@ -179,8 +182,9 @@ pub fn backscatter_with_rts_cts_on(
     let window_ids: Vec<u64> = (0..windows as u64).collect();
     // Reservation means the interferer never overlaps our packets; its
     // price is airtime.
-    let samples = executor.map(&window_ids, |_, &w| {
-        let mut stats = coexist_window(tech, packets_per_window, None, derive_seed(seed, w));
+    let samples = executor.map_with(&window_ids, WifiLinkScratch::new, |_, &w, scratch| {
+        let s = derive_seed(seed, w);
+        let mut stats = coexist_window(tech, packets_per_window, None, s, scratch);
         stats.airtime_s += packets_per_window as f64 * RTS_CTS_OVERHEAD_S;
         stats.throughput_bps()
     });
@@ -194,12 +198,15 @@ pub fn backscatter_with_rts_cts_on(
 /// One measurement window: `tech`'s standard link 2 m from the receiver
 /// on a flat channel, with the interferer at receiver 2 when
 /// `interferer_leak_dbm` is set. Its throughput is
-/// [`LinkStats::throughput_bps`].
+/// [`LinkStats::throughput_bps`]. A WiFi window decodes into `scratch`,
+/// which the windows of one executor worker share: fresh receive arenas
+/// per window cost about 5% of a Fig. 16 run's CPU time.
 fn coexist_window(
     tech: CoexistTech,
     packets: usize,
     interferer_leak_dbm: Option<f64>,
     seed: u64,
+    scratch: &mut WifiLinkScratch,
 ) -> LinkStats {
     let cfg = LinkConfig {
         payload_len: match tech {
@@ -223,17 +230,21 @@ fn coexist_window(
             derive_seed(seed, stream::INTERFERER),
         )
     });
+    let arenas = &mut scratch.0;
     match tech {
-        CoexistTech::Wifi => run_window(WifiLink::new(cfg).radios(), interferer),
-        CoexistTech::Zigbee => run_window(ZigbeeLink::new(cfg).radios(), interferer),
-        CoexistTech::Ble => run_window(BleLink::new(cfg).radios(), interferer),
+        CoexistTech::Wifi => run_window(WifiLink::new(cfg).radios(), interferer, arenas),
+        CoexistTech::Zigbee => run_window(ZigbeeLink::new(cfg).radios(), interferer, &mut [(), ()]),
+        CoexistTech::Ble => run_window(BleLink::new(cfg).radios(), interferer, &mut [(), ()]),
     }
 }
 
 /// Runs one window on `phy`: per-byte payload draws, serially (the windows
 /// themselves fan out over the caller's executor).
-fn run_window<P: Phy>(phy: P, interferer: Option<Interferer>) -> LinkStats {
-    let scratch = &mut Default::default();
+fn run_window<P: Phy>(
+    phy: P,
+    interferer: Option<Interferer>,
+    scratch: &mut [P::Scratch; 2],
+) -> LinkStats {
     run_link(
         &phy,
         Draws::PerByte,

@@ -301,7 +301,7 @@ pub enum WifiTagScheme {
 /// copies of a packet stay live at once while everything underneath is
 /// reused packet to packet.
 #[derive(Debug, Clone, Default)]
-pub struct WifiLinkScratch([freerider_wifi::RxScratch; 2]);
+pub struct WifiLinkScratch(pub(crate) [freerider_wifi::RxScratch; 2]);
 
 impl WifiLinkScratch {
     /// Creates an empty scratch.
