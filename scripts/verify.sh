@@ -64,6 +64,11 @@ for e in doc["experiments"]:
 print(f"repro JSON OK: {len(doc['experiments'])} experiments")
 EOF
 
+echo "==> repro --quick all stdout identical at FREERIDER_THREADS=1 and =4"
+FREERIDER_THREADS=1 ./target/release/repro --quick all >/tmp/freerider_repro_t1.txt 2>/dev/null
+FREERIDER_THREADS=4 ./target/release/repro --quick all >/tmp/freerider_repro_t4.txt 2>/dev/null
+cmp /tmp/freerider_repro_t1.txt /tmp/freerider_repro_t4.txt
+
 echo "==> repro --trace smoke (flight recorder + Chrome export)"
 ./target/release/repro --quick --trace /tmp/freerider_trace_smoke.json \
     --json /tmp/freerider_repro_traced.json fig10 >/dev/null
