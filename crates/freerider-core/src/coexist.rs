@@ -131,7 +131,7 @@ pub fn backscatter_coexistence_on(
     let pairs = executor.map_with(&window_ids, WifiLinkScratch::new, |_, &w, scratch| {
         let s = derive_seed(seed, w);
         let leak = interferer_leak_dbm(tech);
-        let mut window = |leak| coexist_window(tech, packets_per_window, leak, s, scratch);
+        let mut window = |leak_dbm| coexist_window(tech, packets_per_window, leak_dbm, s, scratch);
         (
             window(None).throughput_bps(),
             window(Some(leak)).throughput_bps(),
@@ -199,8 +199,8 @@ pub fn backscatter_with_rts_cts_on(
 /// on a flat channel, with the interferer at receiver 2 when
 /// `interferer_leak_dbm` is set. Its throughput is
 /// [`LinkStats::throughput_bps`]. A WiFi window decodes into `scratch`,
-/// which the windows of one executor worker share: fresh receive arenas
-/// per window cost about 5% of a Fig. 16 run's CPU time.
+/// which the windows of one executor worker share, so a Fig. 16 run does
+/// not build and page in two fresh receive arenas for every window.
 fn coexist_window(
     tech: CoexistTech,
     packets: usize,
