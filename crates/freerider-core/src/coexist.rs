@@ -17,7 +17,7 @@
 //!   shift), matching §4.4.2.
 
 use crate::link::{
-    run_link, BleLink, Draws, Fading, LinkConfig, Phy, WifiLink, WifiLinkScratch, ZigbeeLink,
+    run_link, with_thread_scratch, BleLink, Draws, Fading, LinkConfig, WifiLink, ZigbeeLink,
 };
 use crate::metrics::{Cdf, LinkStats};
 use freerider_channel::interference::Interferer;
@@ -120,6 +120,11 @@ pub fn backscatter_coexistence(
 /// [`backscatter_coexistence`] on an explicit executor: windows fan out in
 /// parallel, each on its own derived stream, and both CDFs are assembled
 /// in window order (bit-identical for any worker count).
+///
+/// Each window's packets run their two legs as [`WifiLink::run_with`]
+/// does, on the environment's executor: on two cores when the windows run
+/// on the caller's thread (one window, or a serial `executor`), one after
+/// the other inside `executor`'s workers.
 pub fn backscatter_coexistence_on(
     executor: Executor,
     tech: CoexistTech,
@@ -128,10 +133,11 @@ pub fn backscatter_coexistence_on(
     seed: u64,
 ) -> BackscatterCoexistResult {
     let window_ids: Vec<u64> = (0..windows as u64).collect();
-    let pairs = executor.map_with(&window_ids, WifiLinkScratch::new, |_, &w, scratch| {
+    let legs = Executor::from_env();
+    let pairs = executor.map(&window_ids, |_, &w| {
         let s = derive_seed(seed, w);
         let leak = interferer_leak_dbm(tech);
-        let mut window = |leak_dbm| coexist_window(tech, packets_per_window, leak_dbm, s, scratch);
+        let window = |leak_dbm| coexist_window(tech, packets_per_window, leak_dbm, s, legs);
         (
             window(None).throughput_bps(),
             window(Some(leak)).throughput_bps(),
@@ -171,7 +177,8 @@ pub fn backscatter_with_rts_cts(
     )
 }
 
-/// [`backscatter_with_rts_cts`] on an explicit executor.
+/// [`backscatter_with_rts_cts`] on an explicit executor; each window's
+/// legs run as in [`backscatter_coexistence_on`].
 pub fn backscatter_with_rts_cts_on(
     executor: Executor,
     tech: CoexistTech,
@@ -180,13 +187,9 @@ pub fn backscatter_with_rts_cts_on(
     seed: u64,
 ) -> Cdf {
     let window_ids: Vec<u64> = (0..windows as u64).collect();
-    // Reservation means the interferer never overlaps our packets; its
-    // price is airtime.
-    let samples = executor.map_with(&window_ids, WifiLinkScratch::new, |_, &w, scratch| {
-        let s = derive_seed(seed, w);
-        let mut stats = coexist_window(tech, packets_per_window, None, s, scratch);
-        stats.airtime_s += packets_per_window as f64 * RTS_CTS_OVERHEAD_S;
-        stats.throughput_bps()
+    let legs = Executor::from_env();
+    let samples = executor.map(&window_ids, |_, &w| {
+        rts_cts_window(tech, packets_per_window, derive_seed(seed, w), legs).throughput_bps()
     });
     let mut cdf = Cdf::new();
     for t in samples {
@@ -195,18 +198,27 @@ pub fn backscatter_with_rts_cts_on(
     cdf
 }
 
+/// One RTS/CTS-protected window: reservation means the interferer never
+/// overlaps our packets; its price is airtime.
+fn rts_cts_window(tech: CoexistTech, packets: usize, seed: u64, legs: Executor) -> LinkStats {
+    let mut stats = coexist_window(tech, packets, None, seed, legs);
+    stats.airtime_s += packets as f64 * RTS_CTS_OVERHEAD_S;
+    stats
+}
+
 /// One measurement window: `tech`'s standard link 2 m from the receiver
 /// on a flat channel, with the interferer at receiver 2 when
-/// `interferer_leak_dbm` is set. Its throughput is
-/// [`LinkStats::throughput_bps`]. A WiFi window decodes into `scratch`,
-/// which the windows of one executor worker share, so a Fig. 16 run does
-/// not build and page in two fresh receive arenas for every window.
+/// `interferer_leak_dbm` is set, and each packet's two legs on `legs`
+/// (the same bits on any executor). Its throughput is
+/// [`LinkStats::throughput_bps`]. A WiFi window decodes into the thread's
+/// receive arenas, so a Fig. 16 run does not build and page in two fresh
+/// arenas for every window or every call.
 fn coexist_window(
     tech: CoexistTech,
     packets: usize,
     interferer_leak_dbm: Option<f64>,
     seed: u64,
-    scratch: &mut WifiLinkScratch,
+    legs: Executor,
 ) -> LinkStats {
     let cfg = LinkConfig {
         payload_len: match tech {
@@ -230,33 +242,85 @@ fn coexist_window(
             derive_seed(seed, stream::INTERFERER),
         )
     });
-    let arenas = &mut scratch.0;
+    let draws = Draws::PerByte;
     match tech {
-        CoexistTech::Wifi => run_window(WifiLink::new(cfg).radios(), interferer, arenas),
-        CoexistTech::Zigbee => run_window(ZigbeeLink::new(cfg).radios(), interferer, &mut [(), ()]),
-        CoexistTech::Ble => run_window(BleLink::new(cfg).radios(), interferer, &mut [(), ()]),
+        CoexistTech::Wifi => with_thread_scratch(|scratch| {
+            run_link(
+                &WifiLink::new(cfg).radios(),
+                draws,
+                interferer,
+                legs,
+                &mut scratch.0,
+            )
+        }),
+        CoexistTech::Zigbee => run_link(
+            &ZigbeeLink::new(cfg).radios(),
+            draws,
+            interferer,
+            legs,
+            &mut [(), ()],
+        ),
+        CoexistTech::Ble => run_link(
+            &BleLink::new(cfg).radios(),
+            draws,
+            interferer,
+            legs,
+            &mut [(), ()],
+        ),
     }
-}
-
-/// Runs one window on `phy`: per-byte payload draws, serially (the windows
-/// themselves fan out over the caller's executor).
-fn run_window<P: Phy>(
-    phy: P,
-    interferer: Option<Interferer>,
-    scratch: &mut [P::Scratch; 2],
-) -> LinkStats {
-    run_link(
-        &phy,
-        Draws::PerByte,
-        interferer,
-        Executor::serial(),
-        scratch,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::stat_bits;
+
+    const TECHS: [CoexistTech; 3] = [CoexistTech::Wifi, CoexistTech::Zigbee, CoexistTech::Ble];
+
+    #[test]
+    fn window_legs_are_bit_identical_on_two_threads() {
+        // Absent, present with the interferer, and RTS/CTS-protected:
+        // each window's statistics are the same bits with its packets'
+        // legs serial and on two threads.
+        for tech in TECHS {
+            for w in 0..2 {
+                let s = derive_seed(13, w);
+                let leak = Some(interferer_leak_dbm(tech));
+                let windows = |legs| {
+                    [
+                        coexist_window(tech, 2, None, s, legs),
+                        coexist_window(tech, 2, leak, s, legs),
+                        rts_cts_window(tech, 2, s, legs),
+                    ]
+                    .map(|stats| stat_bits(&stats))
+                };
+                let serial = windows(Executor::serial());
+                assert_eq!(serial, windows(Executor::new(2)), "{tech:?} window {w}");
+                assert!(serial[0][1] > 0, "{tech:?} window {w} decoded nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn thread_arenas_carry_nothing_between_runs() {
+        // A WiFi window, then a quaternary link of shorter QPSK packets
+        // that reshapes both of the thread's arenas, then the window
+        // again: the arenas are scratch, so the window's bits hold.
+        let leak = Some(interferer_leak_dbm(CoexistTech::Wifi));
+        let window = || {
+            let stats = coexist_window(CoexistTech::Wifi, 2, leak, 21, Executor::serial());
+            stat_bits(&stats)
+        };
+        let cold = window();
+        let cfg = LinkConfig {
+            payload_len: 300,
+            packets: 2,
+            fading: Fading::None,
+            ..LinkConfig::new(CoexistTech::Wifi.los_budget(), 3.0, 5)
+        };
+        assert!(WifiLink::new_quaternary(cfg).run().packets_decoded > 0);
+        assert_eq!(window(), cold);
+    }
 
     #[test]
     fn fig15_backscatter_does_not_hurt_wifi() {

@@ -105,9 +105,9 @@ pub const REGISTRY: &[EnvKnob] = &[
         consumer: "freerider-rt::executor",
         default: "all cores",
         doc: "Worker count for the parallel sweep executor; at 2 or more \
-              a link run outside a sweep also runs each packet's two \
-              legs on two cores. Results are bit-identical for every \
-              value; 1 forces serial execution.",
+              a link run or Fig. 16 window outside a sweep worker also \
+              runs each packet's two legs on two cores. Results are \
+              bit-identical for every value; 1 forces serial execution.",
     },
     EnvKnob {
         name: "FREERIDER_TRACE",

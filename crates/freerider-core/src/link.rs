@@ -30,6 +30,7 @@ use freerider_dsp::Complex;
 use freerider_rt::{derive_seed, stream, Executor, Rng64};
 use freerider_tag::translator::{FskTranslator, PhaseTranslator};
 use freerider_telemetry::trace;
+use std::cell::Cell;
 
 /// Configuration shared by the three technology links.
 #[derive(Debug, Clone)]
@@ -310,6 +311,32 @@ impl WifiLinkScratch {
     }
 }
 
+thread_local! {
+    /// The receive arenas of every WiFi run on this thread that is not
+    /// handed a scratch ([`WifiLink::run`] and the Fig. 16 windows), as
+    /// `freerider_wifi::Receiver::receive` keeps one per-thread arena. A
+    /// long-lived thread decodes every such run warm; a scoped executor
+    /// worker gets its own pair, released when it exits.
+    static THREAD_SCRATCH: Cell<Option<WifiLinkScratch>> = const { Cell::new(None) };
+}
+
+/// Runs `f` on this thread's [`WifiLinkScratch`]. The pair is taken out
+/// for the call, so a run nested inside `f`, or one on a thread whose
+/// locals are being torn down, decodes into a fresh pair instead of
+/// panicking. The arenas are scratch memory only, so the result is the
+/// same bits on a warm pair, a cold one or any other thread's.
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut WifiLinkScratch) -> R) -> R {
+    let mut pair = THREAD_SCRATCH
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    let r = f(&mut pair);
+    // An error here means the thread is exiting; the pair is dropped.
+    let _ = THREAD_SCRATCH.try_with(|cell| cell.set(Some(pair)));
+    r
+}
+
 impl WifiLink {
     /// Creates the paper's standard WiFi link (6 Mbps excitation, binary
     /// 180° translation over 4-symbol windows).
@@ -342,9 +369,10 @@ impl WifiLink {
         }
     }
 
-    /// Runs the link, returning aggregate statistics.
+    /// Runs the link, returning aggregate statistics. It decodes into this
+    /// thread's receive arenas, warm from the thread's previous WiFi run.
     pub fn run(&self) -> LinkStats {
-        self.run_with(&mut WifiLinkScratch::new())
+        with_thread_scratch(|scratch| self.run_with(scratch))
     }
 
     /// [`WifiLink::run`] with caller-provided receive arenas — the
@@ -667,6 +695,22 @@ impl Phy for Radios<'_, BleLink, freerider_ble::Receiver> {
     }
 }
 
+/// Every field of the statistics, bit for bit.
+#[cfg(test)]
+pub(crate) fn stat_bits(s: &LinkStats) -> [u64; 9] {
+    [
+        s.packets_sent as u64,
+        s.packets_decoded as u64,
+        s.productive_ok as u64,
+        s.tag_bits_sent,
+        s.tag_bits_compared,
+        s.tag_bits_correct,
+        s.budget_rssi_dbm.to_bits(),
+        s.measured_rssi_dbm.to_bits(),
+        s.airtime_s.to_bits(),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,25 +742,19 @@ mod tests {
     }
 
     #[test]
+    fn a_nested_run_falls_back_to_a_fresh_pair() {
+        // The outer call holds the thread's arenas, so the inner run
+        // decodes into fresh ones rather than panicking.
+        let link = WifiLink::new(wifi_cfg(2.0));
+        let nested = with_thread_scratch(|_| link.run());
+        assert_eq!(stat_bits(&nested), stat_bits(&link.run()));
+    }
+
+    #[test]
     fn wifi_link_dies_past_max_range() {
         let stats = WifiLink::new(wifi_cfg(60.0)).run();
         assert_eq!(stats.packets_decoded, 0, "60 m is past the 42 m cliff");
         assert_eq!(stats.throughput_bps(), 0.0);
-    }
-
-    /// Every field of the statistics, bit for bit.
-    fn stat_bits(s: &LinkStats) -> [u64; 9] {
-        [
-            s.packets_sent as u64,
-            s.packets_decoded as u64,
-            s.productive_ok as u64,
-            s.tag_bits_sent,
-            s.tag_bits_compared,
-            s.tag_bits_correct,
-            s.budget_rssi_dbm.to_bits(),
-            s.measured_rssi_dbm.to_bits(),
-            s.airtime_s.to_bits(),
-        ]
     }
 
     /// Runs `phy` serially and with its two legs on two threads; the

@@ -268,22 +268,36 @@ assert a[:n] == b[:n], "op digests differ between 1 thread and the default"
 print(f"wifi-link OK: {n} ops bit-identical, {len(a)} serial vs {len(b)} default ops in 2 s")
 EOF
 
-echo "==> perfbench coexist-fig16 (correct, warm-up digest pinned)"
+echo "==> perfbench coexist-fig16 serial vs two-leg (warm-up digest pinned, same op digests at FREERIDER_THREADS=1 and unset)"
 # The only workload that runs the ZigBee and BLE receivers and the
 # interferer. Its warm-up op's digest is fixed by the bits of every
 # window, so a receiver rewrite that changes one decoded symbol fails
-# here as well as in tests/baselines.rs.
-cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+# here as well as in tests/baselines.rs. Each op runs one window per
+# call on the caller's thread, so unset, the window's packets run their
+# two legs side by side, as wifi-link's do; both runs must be correct
+# and agree on every op both completed.
+FREERIDER_THREADS=1 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload coexist-fig16 --seed 3 --seconds 2 --trace 0 \
-    --out /tmp/freerider_perfbench_coexist >/dev/null
+    --out /tmp/freerider_perfbench_coexist_serial >/dev/null
+env -u FREERIDER_THREADS cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload coexist-fig16 --seed 3 --seconds 2 --trace 0 \
+    --out /tmp/freerider_perfbench_coexist_default >/dev/null
 python3 - <<'EOF'
 import json
-with open("/tmp/freerider_perfbench_coexist/coexist-fig16-seed3-trace0.json") as f:
-    doc = json.load(f)
-assert doc["correct"] is True, doc["errors"]
-assert doc["failed"] == 0, doc["failed"]
-assert doc["warmup_digest"] == "2706634ee6dceb7b", doc["warmup_digest"]
-print(f"coexist-fig16 OK: {doc['attempted']} ops, warm-up digest {doc['warmup_digest']}")
+docs = []
+for d in ("serial", "default"):
+    with open(f"/tmp/freerider_perfbench_coexist_{d}/coexist-fig16-seed3-trace0.json") as f:
+        docs.append(json.load(f))
+for doc in docs:
+    assert doc["correct"] is True, doc["errors"]
+    assert doc["failed"] == 0, doc["failed"]
+    assert doc["warmup_digest"] == "2706634ee6dceb7b", doc["warmup_digest"]
+a, b = (doc["op_digests"] for doc in docs)
+n = min(len(a), len(b))
+assert n > 0, "no ops to compare"
+assert a[:n] == b[:n], "op digests differ between 1 thread and the default"
+print(f"coexist-fig16 OK: {n} ops bit-identical, {len(a)} serial vs {len(b)} default ops in 2 s, "
+      f"warm-up digest {docs[1]['warmup_digest']}")
 EOF
 
 echo "==> bench baseline (diff vs benchmarks/latest.json)"

@@ -149,6 +149,24 @@ fn warm_zigbee_receive_allocates_only_the_packet() {
 }
 
 #[test]
+fn a_second_fig16_window_decodes_into_the_threads_warm_arenas() {
+    // A Fig. 16 WiFi window decodes into this thread's receive arena pair,
+    // which the first call grows and pages in. A second same-seed call
+    // reuses it, so it must allocate at least 512 KiB less on this thread
+    // (a 1000-byte packet's arenas are about 1 MiB on one thread).
+    use freerider::core::coexist::{backscatter_with_rts_cts_on, CoexistTech};
+    use freerider::rt::Executor;
+    let window = || backscatter_with_rts_cts_on(Executor::serial(), CoexistTech::Wifi, 1, 3, 17);
+    let (mut first, _, cold) = measure(window);
+    let (mut second, _, warm) = measure(window);
+    assert_eq!(first.median().to_bits(), second.median().to_bits());
+    assert!(
+        warm + 512 * 1024 <= cold,
+        "the second window allocated {warm} B against the first's {cold} B"
+    );
+}
+
+#[test]
 fn warm_batch_kernels_are_allocation_free() {
     // The kernels `receive_with` runs over a whole DATA field must each be
     // allocation-free once their buffers are warm: Viterbi at its default
