@@ -6,7 +6,7 @@
 
 use freerider_rt::Executor;
 use freerider_telemetry::profile;
-use freerider_wifi::{Receiver, RxConfig, RxScratch, Transmitter, TxConfig};
+use freerider_wifi::{Receiver, RxConfig, Transmitter, TxConfig};
 
 /// Receives a small multi-size packet sweep under `threads` workers with
 /// profiling on, returning the deterministic work dump.
@@ -28,9 +28,7 @@ fn sweep_work_json(threads: usize) -> String {
     // Reset AFTER transmit so only the receive pipeline is profiled
     // (TX-side CRC/FFT work would otherwise land in `(unscoped)`).
     profile::reset();
-    let ok = Executor::new(threads).map_with(&waves, RxScratch::new, |_, wave, scratch| {
-        rx.receive_with(wave, scratch).unwrap().fcs_valid
-    });
+    let ok = Executor::new(threads).map(&waves, |_, wave| rx.receive(wave).unwrap().fcs_valid);
     assert!(ok.iter().all(|&v| v), "every packet must decode cleanly");
     let json = profile::work_json(&profile::report());
     profile::reset();

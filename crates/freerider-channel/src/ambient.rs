@@ -56,11 +56,6 @@ impl AmbientTraffic {
         }
     }
 
-    /// Draws `n` durations.
-    pub fn sample_many(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample_duration()).collect()
-    }
-
     /// Probability (empirical over `n` draws) that an ambient packet falls
     /// within ±`bound` of `pulse` — the PLM confusion probability.
     pub fn confusion_probability(&mut self, pulse_s: f64, bound_s: f64, n: usize) -> f64 {
@@ -97,7 +92,7 @@ mod tests {
     #[test]
     fn bimodal_fractions_match_fig3() {
         let mut t = AmbientTraffic::new(1);
-        let durations = t.sample_many(100_000);
+        let durations: Vec<f64> = (0..100_000).map(|_| t.sample_duration()).collect();
         let short = durations.iter().filter(|&&d| d < 500e-6).count() as f64 / 1e5;
         let long = durations
             .iter()
@@ -139,7 +134,8 @@ mod tests {
     #[test]
     fn durations_are_positive_and_bounded() {
         let mut t = AmbientTraffic::new(4);
-        for d in t.sample_many(10_000) {
+        for _ in 0..10_000 {
+            let d = t.sample_duration();
             assert!((40e-6..=2.7e-3).contains(&d), "duration {d}");
         }
     }

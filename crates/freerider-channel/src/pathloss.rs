@@ -22,11 +22,6 @@ impl PathLoss {
         PathLoss { pl0_db, exponent }
     }
 
-    /// Free-space-like 2.4 GHz reference: PL₀ ≈ 40 dB at 1 m, n = 2.
-    pub fn free_space_2g4() -> Self {
-        PathLoss::new(40.0, 2.0)
-    }
-
     /// Path loss in dB at distance `d_m` metres. Distances below 0.1 m are
     /// clamped (near-field is out of scope).
     pub fn loss_db(&self, d_m: f64) -> f64 {
@@ -87,16 +82,9 @@ mod tests {
 
     #[test]
     fn near_field_clamped() {
-        let pl = PathLoss::free_space_2g4();
+        let pl = PathLoss::new(40.0, 2.0);
         assert_eq!(pl.loss_db(0.0), pl.loss_db(0.1));
         assert_eq!(pl.loss_db(-3.0), pl.loss_db(0.1));
-    }
-
-    #[test]
-    fn free_space_sanity() {
-        // 2.4 GHz free space at 10 m ≈ 60 dB.
-        let pl = PathLoss::free_space_2g4();
-        assert!((pl.loss_db(10.0) - 60.0).abs() < 0.5);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The 802.11 convolutional code with hard- and soft-decision Viterbi
-//! decoders.
+//! The 802.11 convolutional code and its soft-decision Viterbi decoder.
 //!
 //! Encoder: constraint length K=7, generators g₀ = 133₈, g₁ = 171₈ — this is
 //! Equation 9 of the FreeRider paper:
@@ -94,44 +93,6 @@ pub fn encode(bits: &[u8], rate: CodeRate) -> Vec<u8> {
         .collect()
 }
 
-/// Depunctures a received hard-bit stream back to the rate-1/2 lattice,
-/// marking punctured positions as erasures (`None`).
-fn depuncture(bits: &[u8], rate: CodeRate) -> Vec<Option<u8>> {
-    let pat = rate.pattern();
-    let mut out = Vec::new();
-    let mut it = bits.iter();
-    'outer: loop {
-        for &keep in pat {
-            if keep {
-                match it.next() {
-                    Some(&b) => out.push(Some(b & 1)),
-                    None => break 'outer,
-                }
-            } else {
-                out.push(None);
-            }
-        }
-    }
-    // Trim dangling erasures that extend past the last real bit pair.
-    while out.len() % 2 != 0 {
-        out.pop();
-    }
-    out
-}
-
-/// Hard-decision Viterbi decoder for the (133,171) code.
-///
-/// `coded` is the punctured bit stream; returns the maximum-likelihood input
-/// sequence (`coded_pairs` input bits). The decoder runs a full traceback
-/// (packets in this workspace are short); the survivor matrix is O(N·64) u8.
-pub fn viterbi_decode(coded: &[u8], rate: CodeRate) -> Vec<u8> {
-    let llrs: Vec<f64> = coded
-        .iter()
-        .map(|&b| if b & 1 == 1 { 1.0 } else { -1.0 })
-        .collect();
-    viterbi_decode_soft(&llrs, rate)
-}
-
 /// Depunctures soft values back to the rate-1/2 lattice, writing into
 /// `out` (cleared first), marking punctured positions as zero-confidence
 /// erasures.
@@ -194,33 +155,6 @@ pub fn depuncture_soft_into(llrs: &[f64], rate: CodeRate, out: &mut Vec<f64>) {
         }
     }
     debug_assert_eq!(out.len(), len);
-}
-
-/// Soft-decision Viterbi decoder.
-///
-/// `llrs` are per-coded-bit soft values: positive = bit 1, negative =
-/// bit 0, magnitude = confidence. In the OFDM receiver the magnitude
-/// carries the subcarrier's channel gain, so bits on faded subcarriers
-/// contribute little to the path metric — the standard soft-decoding gain
-/// (~2 dB AWGN, far more on frequency-selective channels) that commodity
-/// 802.11 chips rely on.
-pub fn viterbi_decode_soft(llrs: &[f64], rate: CodeRate) -> Vec<u8> {
-    viterbi_decode_soft_with_metric(llrs, rate).0
-}
-
-/// [`viterbi_decode_soft`], also returning the winning path's final
-/// metric (lower = closer to a valid codeword; 0 on noiseless input with
-/// unit-magnitude LLRs is `−2·nsteps`). The metric is the per-packet
-/// decode-confidence figure the flight recorder records.
-///
-/// **Not a hot path**: this convenience wrapper builds a fresh
-/// [`ViterbiScratch`] and copies the decoded bits out on every call.
-/// Steady-state callers (the receivers, the benchmarks) go through
-/// [`viterbi_decode_soft_scratch`] instead.
-pub fn viterbi_decode_soft_with_metric(llrs: &[f64], rate: CodeRate) -> (Vec<u8>, f64) {
-    let mut scratch = ViterbiScratch::new();
-    let (decoded, metric) = viterbi_decode_soft_scratch(llrs, rate, &mut scratch);
-    (decoded.to_vec(), metric)
 }
 
 /// Reusable working memory for [`viterbi_decode_soft_scratch`]: the
@@ -308,7 +242,17 @@ const BRANCH_SIGN_MASKS: ([u64; NSTATES / 2], [u64; NSTATES / 2]) = branch_sign_
 /// [`viterbi_decode_soft_scratch`] dispatches here.
 pub const DEFAULT_VITERBI_LANES: usize = 1;
 
-/// The flattened, table-driven soft Viterbi kernel.
+/// The soft-decision Viterbi decoder: the flattened, table-driven kernel.
+///
+/// `llrs` are per-coded-bit soft values: positive = bit 1, negative =
+/// bit 0, magnitude = confidence. In the OFDM receiver the magnitude
+/// carries the subcarrier's channel gain, so bits on faded subcarriers
+/// contribute little to the path metric — the standard soft-decoding gain
+/// (~2 dB AWGN, far more on frequency-selective channels) that commodity
+/// 802.11 chips rely on. Returns the decoded bits and the winning path's
+/// final metric (lower = closer to a valid codeword; noiseless input with
+/// unit-magnitude LLRs gives `−2·nsteps`), the per-packet
+/// decode-confidence figure the flight recorder records.
 ///
 /// Same decode as the test oracle
 /// `reference::viterbi_decode_soft_with_metric` — pinned bit-for-bit by
@@ -317,7 +261,7 @@ pub const DEFAULT_VITERBI_LANES: usize = 1;
 /// - the 4 possible branch metric pairs `(±ra, ±rb)` are formed once per
 ///   trellis step instead of per transition;
 /// - the ACS loop iterates over *next* states through the compile-time
-///   [`BRANCH_SYMS`] table, so each state is written exactly once, with
+///   `BRANCH_SYMS` table, so each state is written exactly once, with
 ///   no `pm >= INF` skip (INF absorbs any physical LLR exactly:
 ///   `INF + x == INF` for `|x| < ~1e291`, so unreached states stay at INF
 ///   through the same arithmetic);
@@ -466,7 +410,7 @@ fn acs_step_lanes<const LANES: usize>(
 
 /// The lane-batched soft Viterbi kernel: the ACS inner loop runs in
 /// fixed-width `[f64; LANES]` sub-lanes over SoA branch-metric planes
-/// (see [`acs_step_lanes`]); `LANES = 1` is the unbatched formulation.
+/// (see `acs_step_lanes`); `LANES = 1` is the unbatched formulation.
 /// Decodes bit-identically to the test oracle
 /// `reference::viterbi_decode_soft_with_metric` at every width; only
 /// throughput varies.
@@ -511,7 +455,8 @@ pub fn viterbi_decode_soft_scratch_lanes<'s, const LANES: usize>(
 
 /// The original (pre-table-driven) soft-decision kernels, retained
 /// verbatim as the bit-exactness oracle the seeded property tests compare
-/// the optimised paths against. Test-only: nothing ships through it.
+/// the optimised paths against, and the original hard-decision decoder.
+/// Test-only: nothing ships through them.
 #[cfg(test)]
 mod reference {
     use super::{parity, CodeRate, G0, G1, NSTATES};
@@ -606,80 +551,106 @@ mod reference {
         }
         (decoded, best_metric)
     }
-}
 
-/// The original hard-decision path, retained for spot-checks and tests.
-#[allow(clippy::needless_range_loop)] // `b` is the encoder input bit, not a mere index
-pub fn viterbi_decode_hard(coded: &[u8], rate: CodeRate) -> Vec<u8> {
-    let lattice = depuncture(coded, rate);
-    let nsteps = lattice.len() / 2;
-    if nsteps == 0 {
-        return Vec::new();
-    }
-
-    const INF: u32 = u32::MAX / 2;
-    let mut metric = vec![INF; NSTATES];
-    metric[0] = 0; // encoder starts in state 0
-    let mut next = vec![INF; NSTATES];
-    // survivors[t][s] = input bit that led to state s at step t, plus prev state.
-    let mut surv_bit = vec![0u8; nsteps * NSTATES];
-    let mut surv_prev = vec![0u8; nsteps * NSTATES];
-
-    // Precompute expected outputs: for (prev_state, input) → (a, b, next_state).
-    // prev_state holds bits b[k-1]..b[k-6] with b[k-1] at MSB (bit 5).
-    let mut trans = [[(0u8, 0u8, 0u8); 2]; NSTATES];
-    for (ps, row) in trans.iter_mut().enumerate() {
-        for (b, entry) in row.iter_mut().enumerate() {
-            let reg = ((b as u8) << 6) | ps as u8;
-            let a = parity(reg & G0);
-            let bb = parity(reg & G1);
-            let ns = reg >> 1;
-            *entry = (a, bb, ns);
-        }
-    }
-
-    for t in 0..nsteps {
-        let ra = lattice[2 * t];
-        let rb = lattice[2 * t + 1];
-        next.iter_mut().for_each(|m| *m = INF);
-        for ps in 0..NSTATES {
-            let pm = metric[ps];
-            if pm >= INF {
-                continue;
-            }
-            for b in 0..2 {
-                let (ea, eb, ns) = trans[ps][b];
-                let mut cost = pm;
-                if let Some(r) = ra {
-                    cost += u32::from(r != ea);
-                }
-                if let Some(r) = rb {
-                    cost += u32::from(r != eb);
-                }
-                let nsu = ns as usize;
-                if cost < next[nsu] {
-                    next[nsu] = cost;
-                    surv_bit[t * NSTATES + nsu] = b as u8;
-                    surv_prev[t * NSTATES + nsu] = ps as u8;
+    /// Depunctures a received hard-bit stream back to the rate-1/2 lattice,
+    /// marking punctured positions as erasures (`None`).
+    pub fn depuncture(bits: &[u8], rate: CodeRate) -> Vec<Option<u8>> {
+        let pat = rate.pattern();
+        let mut out = Vec::new();
+        let mut it = bits.iter();
+        'outer: loop {
+            for &keep in pat {
+                if keep {
+                    match it.next() {
+                        Some(&b) => out.push(Some(b & 1)),
+                        None => break 'outer,
+                    }
+                } else {
+                    out.push(None);
                 }
             }
         }
-        std::mem::swap(&mut metric, &mut next);
+        // Trim dangling erasures that extend past the last real bit pair.
+        while out.len() % 2 != 0 {
+            out.pop();
+        }
+        out
     }
 
-    // Traceback from the best final state.
-    let mut state = metric
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, &m)| m)
-        .map(|(s, _)| s)
-        .unwrap_or(0);
-    let mut decoded = vec![0u8; nsteps];
-    for t in (0..nsteps).rev() {
-        decoded[t] = surv_bit[t * NSTATES + state];
-        state = surv_prev[t * NSTATES + state] as usize;
+    /// The original hard-decision decoder, the oracle
+    /// `soft_matches_hard_on_clean_input` compares the soft kernel against.
+    #[allow(clippy::needless_range_loop)] // `b` is the encoder input bit, not a mere index
+    pub fn viterbi_decode_hard(coded: &[u8], rate: CodeRate) -> Vec<u8> {
+        let lattice = depuncture(coded, rate);
+        let nsteps = lattice.len() / 2;
+        if nsteps == 0 {
+            return Vec::new();
+        }
+
+        const INF: u32 = u32::MAX / 2;
+        let mut metric = vec![INF; NSTATES];
+        metric[0] = 0; // encoder starts in state 0
+        let mut next = vec![INF; NSTATES];
+        // survivors[t][s] = input bit that led to state s at step t, plus prev state.
+        let mut surv_bit = vec![0u8; nsteps * NSTATES];
+        let mut surv_prev = vec![0u8; nsteps * NSTATES];
+
+        // Precompute expected outputs: for (prev_state, input) → (a, b, next_state).
+        // prev_state holds bits b[k-1]..b[k-6] with b[k-1] at MSB (bit 5).
+        let mut trans = [[(0u8, 0u8, 0u8); 2]; NSTATES];
+        for (ps, row) in trans.iter_mut().enumerate() {
+            for (b, entry) in row.iter_mut().enumerate() {
+                let reg = ((b as u8) << 6) | ps as u8;
+                let a = parity(reg & G0);
+                let bb = parity(reg & G1);
+                let ns = reg >> 1;
+                *entry = (a, bb, ns);
+            }
+        }
+
+        for t in 0..nsteps {
+            let ra = lattice[2 * t];
+            let rb = lattice[2 * t + 1];
+            next.iter_mut().for_each(|m| *m = INF);
+            for ps in 0..NSTATES {
+                let pm = metric[ps];
+                if pm >= INF {
+                    continue;
+                }
+                for b in 0..2 {
+                    let (ea, eb, ns) = trans[ps][b];
+                    let mut cost = pm;
+                    if let Some(r) = ra {
+                        cost += u32::from(r != ea);
+                    }
+                    if let Some(r) = rb {
+                        cost += u32::from(r != eb);
+                    }
+                    let nsu = ns as usize;
+                    if cost < next[nsu] {
+                        next[nsu] = cost;
+                        surv_bit[t * NSTATES + nsu] = b as u8;
+                        surv_prev[t * NSTATES + nsu] = ps as u8;
+                    }
+                }
+            }
+            std::mem::swap(&mut metric, &mut next);
+        }
+
+        // Traceback from the best final state.
+        let mut state = metric
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &m)| m)
+            .map(|(s, _)| s)
+            .unwrap_or(0);
+        let mut decoded = vec![0u8; nsteps];
+        for t in (0..nsteps).rev() {
+            decoded[t] = surv_bit[t * NSTATES + state];
+            state = surv_prev[t * NSTATES + state] as usize;
+        }
+        decoded
     }
-    decoded
 }
 
 #[cfg(test)]
@@ -690,6 +661,22 @@ mod tests {
     fn random_bits(n: usize, seed: u64) -> Vec<u8> {
         let mut rng = Rng64::new(seed);
         (0..n).map(|_| rng.bit()).collect()
+    }
+
+    /// Decodes through the shipping kernel on a fresh scratch.
+    pub(super) fn decode_soft(llrs: &[f64], rate: CodeRate) -> (Vec<u8>, f64) {
+        let mut scratch = ViterbiScratch::new();
+        let (bits, metric) = viterbi_decode_soft_scratch(llrs, rate, &mut scratch);
+        (bits.to_vec(), metric)
+    }
+
+    /// Decodes hard bits given as unit-magnitude LLRs.
+    pub(super) fn decode_hard_bits(coded: &[u8], rate: CodeRate) -> Vec<u8> {
+        let llrs: Vec<f64> = coded
+            .iter()
+            .map(|&b| if b & 1 == 1 { 1.0 } else { -1.0 })
+            .collect();
+        decode_soft(&llrs, rate).0
     }
 
     #[test]
@@ -719,7 +706,7 @@ mod tests {
             let mut bits = random_bits(120, 7);
             bits.extend_from_slice(&[0; 6]); // tail
             let coded = encode(&bits, rate);
-            let decoded = viterbi_decode(&coded, rate);
+            let decoded = decode_hard_bits(&coded, rate);
             assert_eq!(&decoded[..bits.len()], &bits[..], "rate {rate:?}");
         }
     }
@@ -734,7 +721,7 @@ mod tests {
         for i in [5usize, 60, 121, 240, 333] {
             coded[i] ^= 1;
         }
-        let decoded = viterbi_decode(&coded, CodeRate::Half);
+        let decoded = decode_hard_bits(&coded, CodeRate::Half);
         assert_eq!(&decoded[..bits.len()], &bits[..]);
     }
 
@@ -745,7 +732,7 @@ mod tests {
         let mut coded = encode(&bits, CodeRate::ThreeQuarters);
         coded[40] ^= 1;
         coded[110] ^= 1;
-        let decoded = viterbi_decode(&coded, CodeRate::ThreeQuarters);
+        let decoded = decode_hard_bits(&coded, CodeRate::ThreeQuarters);
         assert_eq!(&decoded[..bits.len()], &bits[..]);
     }
 
@@ -800,7 +787,7 @@ mod tests {
         bits.extend_from_slice(&[0; 6]);
         let coded = encode_half(&bits);
         let flipped: Vec<u8> = coded.iter().map(|b| b ^ 1).collect();
-        let decoded = viterbi_decode(&flipped, CodeRate::Half);
+        let decoded = decode_hard_bits(&flipped, CodeRate::Half);
         let expect: Vec<u8> = bits.iter().map(|b| b ^ 1).collect();
         // The encoder is forced to start in state 0, so the first ≤K−1 bits
         // of the complemented stream sit a few Hamming units away from the
@@ -814,12 +801,13 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(encode_half(&[]).is_empty());
-        assert!(viterbi_decode(&[], CodeRate::Half).is_empty());
+        assert!(decode_hard_bits(&[], CodeRate::Half).is_empty());
     }
 }
 
 #[cfg(test)]
 mod soft_tests {
+    use super::tests::{decode_hard_bits, decode_soft};
     use super::*;
     use freerider_rt::Rng64;
 
@@ -835,8 +823,8 @@ mod soft_tests {
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
             let coded = encode(&bits, rate);
             assert_eq!(
-                viterbi_decode(&coded, rate),
-                viterbi_decode_hard(&coded, rate),
+                decode_hard_bits(&coded, rate),
+                reference::viterbi_decode_hard(&coded, rate),
                 "{rate:?}"
             );
         }
@@ -858,7 +846,7 @@ mod soft_tests {
         for llr in llrs[100..108].iter_mut() {
             *llr = -*llr * 0.05;
         }
-        let decoded = viterbi_decode_soft(&llrs, CodeRate::Half);
+        let decoded = decode_soft(&llrs, CodeRate::Half).0;
         assert_eq!(&decoded[..bits.len()], &bits[..]);
     }
 
@@ -871,7 +859,7 @@ mod soft_tests {
             .iter()
             .map(|&b| if b == 1 { 1.0 } else { -1.0 })
             .collect();
-        let (decoded, m_clean) = viterbi_decode_soft_with_metric(&clean, CodeRate::Half);
+        let (decoded, m_clean) = decode_soft(&clean, CodeRate::Half);
         assert_eq!(&decoded[..bits.len()], &bits[..]);
         // Noiseless unit LLRs: every step agrees on both bits, cost −2/step.
         assert!((m_clean - (-2.0 * clean.len() as f64 / 2.0)).abs() < 1e-9);
@@ -880,7 +868,7 @@ mod soft_tests {
         for k in [10usize, 77, 150] {
             noisy[k] = -noisy[k];
         }
-        let (_, m_noisy) = viterbi_decode_soft_with_metric(&noisy, CodeRate::Half);
+        let (_, m_noisy) = decode_soft(&noisy, CodeRate::Half);
         assert!(m_noisy > m_clean);
     }
 
@@ -1047,7 +1035,7 @@ mod soft_tests {
         for k in (0..llrs.len()).step_by(7) {
             llrs[k] = 0.0;
         }
-        let decoded = viterbi_decode_soft(&llrs, CodeRate::Half);
+        let decoded = decode_soft(&llrs, CodeRate::Half).0;
         assert_eq!(&decoded[..bits.len()], &bits[..]);
     }
 }

@@ -72,33 +72,6 @@ impl Interleaver {
         }
         out
     }
-
-    /// Deinterleaves exactly one symbol's worth of bits.
-    pub fn deinterleave_symbol(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.n_cbps, "symbol size mismatch");
-        let mut out = vec![0u8; self.n_cbps];
-        for (j, &b) in bits.iter().enumerate() {
-            out[self.inv[j]] = b;
-        }
-        out
-    }
-
-    /// Interleaves a multi-symbol stream (length must be a whole number of
-    /// symbols).
-    pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len() % self.n_cbps, 0, "not a whole number of symbols");
-        bits.chunks(self.n_cbps)
-            .flat_map(|c| self.interleave_symbol(c))
-            .collect()
-    }
-
-    /// Deinterleaves a multi-symbol stream.
-    pub fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len() % self.n_cbps, 0, "not a whole number of symbols");
-        bits.chunks(self.n_cbps)
-            .flat_map(|c| self.deinterleave_symbol(c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -106,6 +79,17 @@ mod tests {
     use super::*;
 
     const CONFIGS: &[(usize, usize)] = &[(48, 1), (96, 2), (192, 4), (288, 6)];
+
+    /// Deinterleaves one symbol of hard bits: the oracle the soft
+    /// deinterleaver is checked against.
+    pub(super) fn deinterleave_symbol(il: &Interleaver, bits: &[u8]) -> Vec<u8> {
+        assert_eq!(bits.len(), il.n_cbps, "symbol size mismatch");
+        let mut out = vec![0u8; il.n_cbps];
+        for (j, &b) in bits.iter().enumerate() {
+            out[il.inv[j]] = b;
+        }
+        out
+    }
 
     #[test]
     fn is_a_permutation() {
@@ -125,8 +109,8 @@ mod tests {
         for &(n_cbps, n_bpsc) in CONFIGS {
             let il = Interleaver::new(n_cbps, n_bpsc);
             let bits: Vec<u8> = (0..n_cbps).map(|i| ((i * 31) % 7 < 3) as u8).collect();
-            assert_eq!(il.deinterleave_symbol(&il.interleave_symbol(&bits)), bits);
-            assert_eq!(il.interleave_symbol(&il.deinterleave_symbol(&bits)), bits);
+            assert_eq!(deinterleave_symbol(&il, &il.interleave_symbol(&bits)), bits);
+            assert_eq!(il.interleave_symbol(&deinterleave_symbol(&il, &bits)), bits);
         }
     }
 
@@ -155,21 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_symbol_is_per_symbol() {
-        // Interleaving two symbols equals interleaving each separately —
-        // the property the FreeRider tag depends on (§3.2.1).
-        let il = Interleaver::new(48, 1);
-        let s1: Vec<u8> = (0..48).map(|i| (i % 3 == 0) as u8).collect();
-        let s2: Vec<u8> = (0..48).map(|i| (i % 5 == 0) as u8).collect();
-        let mut both = s1.clone();
-        both.extend_from_slice(&s2);
-        let joint = il.interleave(&both);
-        let mut separate = il.interleave_symbol(&s1);
-        separate.extend(il.interleave_symbol(&s2));
-        assert_eq!(joint, separate);
-    }
-
-    #[test]
     fn symbol_flip_stays_in_symbol() {
         // Complementing one whole symbol before interleaving complements
         // exactly that symbol after interleaving.
@@ -179,8 +148,13 @@ mod tests {
         for b in flipped[96..192].iter_mut() {
             *b ^= 1;
         }
-        let a = il.interleave(&bits);
-        let b = il.interleave(&flipped);
+        let interleave = |bits: &[u8]| -> Vec<u8> {
+            bits.chunks(96)
+                .flat_map(|c| il.interleave_symbol(c))
+                .collect()
+        };
+        let a = interleave(&bits);
+        let b = interleave(&flipped);
         assert_eq!(&a[..96], &b[..96]);
         for i in 96..192 {
             assert_eq!(a[i] ^ 1, b[i]);
@@ -196,16 +170,7 @@ mod tests {
 }
 
 impl Interleaver {
-    /// Deinterleaves one symbol of soft values (same permutation as
-    /// [`Interleaver::deinterleave_symbol`], over `f64`).
-    pub fn deinterleave_symbol_soft(&self, values: &[f64]) -> Vec<f64> {
-        assert_eq!(values.len(), self.n_cbps, "symbol size mismatch");
-        let mut out = vec![0.0f64; self.n_cbps];
-        self.deinterleave_symbol_soft_into(values, &mut out);
-        out
-    }
-
-    /// [`Interleaver::deinterleave_symbol_soft`] into a caller-provided
+    /// Deinterleaves one symbol of soft values into a caller-provided
     /// exact-size slice (the allocation-free RX path appends one symbol at
     /// a time to its coded-LLR buffer and scatters into the tail window).
     ///
@@ -232,6 +197,7 @@ impl Interleaver {
 
 #[cfg(test)]
 mod soft_tests {
+    use super::tests::deinterleave_symbol;
     use super::*;
 
     #[test]
@@ -242,8 +208,9 @@ mod soft_tests {
             .iter()
             .map(|&b| if b == 1 { 1.0 } else { -1.0 })
             .collect();
-        let hard_out = il.deinterleave_symbol(&bits);
-        let soft_out = il.deinterleave_symbol_soft(&soft);
+        let hard_out = deinterleave_symbol(&il, &bits);
+        let mut soft_out = vec![0.0; 96];
+        il.deinterleave_symbol_soft_into(&soft, &mut soft_out);
         for (h, s) in hard_out.iter().zip(soft_out.iter()) {
             assert_eq!(*h == 1, *s > 0.0);
         }

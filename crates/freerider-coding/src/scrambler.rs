@@ -45,7 +45,7 @@ impl Scrambler {
     ///
     /// Long inputs (a DATA field is thousands of bits) take a batched
     /// path: the LFSR output is periodic with period 127 for any nonzero
-    /// state, so one lap of [`Scrambler::step`] materialises the whole
+    /// state, so one lap of `Scrambler::step` materialises the whole
     /// whitening sequence and the data is XORed against it in
     /// autovectorisable byte sweeps — bit-for-bit the values the
     /// step-per-bit loop produces, without its serial feedback chain.

@@ -62,8 +62,8 @@ pub fn decode_wifi_binary(
 
 /// Decodes ZigBee tag bits: a backscattered data symbol that *differs*
 /// from the original marks a flipped window (the complement of an
-/// 802.15.4 chip sequence never decodes to itself — see
-/// `freerider_zigbee::chips::complement_decode_table`).
+/// 802.15.4 chip sequence never decodes to itself, as the tests of
+/// `freerider_zigbee::chips` pin).
 ///
 /// * `original` / `backscattered` — PSDU data-symbol streams
 ///   (`RxPacket::psdu_symbols`).

@@ -125,7 +125,7 @@ pub fn distance_sweep_on(
     Sweep::over(distances.to_vec())
         .seed(seed)
         .executor(executor)
-        .run_with(crate::link::WifiLinkScratch::new, |point, scratch| {
+        .run(|point| {
             let d = *point.value;
             // Through-wall deployments see heavier, longer multipath and a
             // weaker specular component than the open hallway.
@@ -152,10 +152,9 @@ pub fn distance_sweep_on(
                 ..LinkConfig::new(budget.clone(), d, point.seed)
             };
             let stats = match tech {
-                // The WiFi link threads the per-worker receive arena
-                // through; the other PHYs' receivers are cheap enough that
-                // a shared arena has not been worth the plumbing yet.
-                Technology::Wifi => WifiLink::new(cfg).run_with(scratch),
+                // WiFi decodes into the worker thread's receive arenas,
+                // warm from the previous distance on that thread.
+                Technology::Wifi => WifiLink::new(cfg).run(),
                 Technology::Zigbee => ZigbeeLink::new(cfg).run(),
                 Technology::Ble => BleLink::new(cfg).run(),
             };

@@ -21,7 +21,7 @@
 //! * [`network`] — the multi-tag system of Fig. 17 (MAC + real control
 //!   messages + tag state machines).
 //! * [`metrics`] — throughput/BER/CDF accumulators.
-//! * [`env`] — the registry of every `FREERIDER_*` environment knob
+//! * [`env`](mod@env) — the registry of every `FREERIDER_*` environment knob
 //!   (enforced by `freerider-lint` rule D3).
 
 #![forbid(unsafe_code)]

@@ -313,10 +313,11 @@ impl WifiLinkScratch {
 
 thread_local! {
     /// The receive arenas of every WiFi run on this thread that is not
-    /// handed a scratch ([`WifiLink::run`] and the Fig. 16 windows), as
-    /// `freerider_wifi::Receiver::receive` keeps one per-thread arena. A
-    /// long-lived thread decodes every such run warm; a scoped executor
-    /// worker gets its own pair, released when it exits.
+    /// handed a scratch ([`WifiLink::run`], so every distance of a sweep,
+    /// and the Fig. 16 windows), as `freerider_wifi::Receiver::receive`
+    /// keeps one per-thread arena. A long-lived thread decodes every such
+    /// run warm; a scoped executor worker gets its own pair, released
+    /// when it exits.
     static THREAD_SCRATCH: Cell<Option<WifiLinkScratch>> = const { Cell::new(None) };
 }
 
@@ -375,9 +376,8 @@ impl WifiLink {
         with_thread_scratch(|scratch| self.run_with(scratch))
     }
 
-    /// [`WifiLink::run`] with caller-provided receive arenas — the
-    /// allocation-lean form sweeps thread through per-worker executor
-    /// state. Statistics are bit-identical to [`WifiLink::run`].
+    /// [`WifiLink::run`] with caller-provided receive arenas.
+    /// Statistics are bit-identical to [`WifiLink::run`].
     ///
     /// Each packet's two receive legs run on two cores when the
     /// environment's executor allows it (see [`Executor::join_if`]); the

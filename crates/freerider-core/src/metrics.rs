@@ -188,16 +188,6 @@ impl Cdf {
         self.quantile(0.5)
     }
 
-    /// Empirical `P(X ≤ x)`.
-    pub fn prob_le(&mut self, x: f64) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        self.ensure_sorted();
-        let n = self.samples.partition_point(|&s| s <= x);
-        n as f64 / self.samples.len() as f64
-    }
-
     /// Merges another CDF's samples in. Quantiles of the merged CDF equal
     /// those of a single accumulator fed all samples, whatever the merge
     /// order (the samples are re-sorted on the next query).
@@ -269,9 +259,6 @@ mod tests {
         assert_eq!(c.median(), 3.0);
         assert_eq!(c.quantile(0.2), 1.0);
         assert_eq!(c.quantile(1.0), 5.0);
-        assert!((c.prob_le(3.0) - 0.6).abs() < 1e-12);
-        assert_eq!(c.prob_le(0.0), 0.0);
-        assert_eq!(c.prob_le(10.0), 1.0);
     }
 
     #[test]
@@ -292,7 +279,7 @@ mod tests {
     fn empty_cdf_is_nan() {
         let mut c = Cdf::new();
         assert!(c.median().is_nan());
-        assert!(c.prob_le(1.0).is_nan());
+        assert!(c.quantile(0.9).is_nan());
     }
 
     #[test]

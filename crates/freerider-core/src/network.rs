@@ -69,7 +69,6 @@ pub struct TagNetworkReport {
 pub struct TagNetwork {
     config: TagNetworkConfig,
     tags: Vec<Tag>,
-    translator: PhaseTranslator,
     coordinator: Coordinator,
     encoder: PlmEncoder,
     rng: Rng64,
@@ -103,7 +102,6 @@ impl TagNetwork {
         TagNetwork {
             config,
             tags,
-            translator,
             coordinator: Coordinator::with_defaults(),
             encoder: PlmEncoder::new(PlmConfig::default()),
             rng,
@@ -174,11 +172,6 @@ impl TagNetwork {
             collisions,
         }
     }
-
-    /// Per-slot tag-bit capacity with the configured slot waveform.
-    pub fn slot_capacity(&self) -> usize {
-        self.translator.capacity(self.config.slot_samples)
-    }
 }
 
 #[cfg(test)]
@@ -198,17 +191,16 @@ mod tests {
     }
 
     #[test]
-    fn slot_capacity_matches_deliveries() {
+    fn deliveries_come_in_whole_slots() {
         let mut net = TagNetwork::new(TagNetworkConfig {
             n_tags: 2,
             seed: 4,
             ..TagNetworkConfig::default()
         });
-        let cap = net.slot_capacity();
-        assert_eq!(cap, 25);
+        // The default slot carries 25 tag bits.
         let report = net.run(10);
         for &b in &report.per_tag_bits {
-            assert_eq!(b % cap as u64, 0, "deliveries come in whole slots");
+            assert_eq!(b % 25, 0, "deliveries come in whole slots");
         }
     }
 

@@ -32,21 +32,18 @@ pub fn despread_symbol(samples: &[Complex]) -> Complex {
     acc
 }
 
-/// Barker autocorrelation sidelobe bound: |R(τ)| ≤ 1 for τ ≠ 0 (chips).
-pub fn autocorrelation(lag_chips: usize) -> f64 {
-    let mut acc = 0.0;
-    for k in 0..CHIPS_PER_SYMBOL - lag_chips {
-        acc += BARKER[k] * BARKER[k + lag_chips];
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn barker_has_ideal_sidelobes() {
+        // |R(τ)| ≤ 1 for every lag τ ≠ 0 (chips).
+        let autocorrelation = |lag: usize| -> f64 {
+            (0..CHIPS_PER_SYMBOL - lag)
+                .map(|k| BARKER[k] * BARKER[k + lag])
+                .sum()
+        };
         assert_eq!(autocorrelation(0), 11.0);
         for lag in 1..11 {
             assert!(

@@ -1,8 +1,8 @@
-//! Bit/byte packing helpers shared by every framer in the workspace.
+//! Bit/byte packing helpers shared by every framer in the workspace, and
+//! the majority vote of the tag-data decoders.
 //!
 //! All PHYs here (802.11, 802.15.4, BLE) serialise bytes LSB-first on the
-//! air, so the helpers default to LSB-first ordering with explicit
-//! MSB-first variants where a codec needs them.
+//! air, so the helpers pack and unpack LSB-first.
 
 /// Unpacks bytes into bits, least-significant bit of each byte first
 /// (the over-the-air order for 802.11, 802.15.4 and BLE).
@@ -38,116 +38,11 @@ pub fn bits_to_bytes_lsb_into(bits: &[u8], bytes: &mut Vec<u8>) {
     }
 }
 
-/// Unpacks bytes into bits, most-significant bit first.
-pub fn bytes_to_bits_msb(bytes: &[u8]) -> Vec<u8> {
-    let mut bits = Vec::with_capacity(bytes.len() * 8);
-    for &b in bytes {
-        for i in (0..8).rev() {
-            bits.push((b >> i) & 1);
-        }
-    }
-    bits
-}
-
-/// Packs bits (MSB-first per byte) into bytes, zero-padding the tail.
-pub fn bits_to_bytes_msb(bits: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
-    for chunk in bits.chunks(8) {
-        let mut b = 0u8;
-        for (i, &bit) in chunk.iter().enumerate() {
-            b |= (bit & 1) << (7 - i);
-        }
-        bytes.push(b);
-    }
-    bytes
-}
-
-/// Counts the positions at which two bit slices differ (Hamming distance
-/// over the common prefix) plus the length difference.
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
-    let common = a.len().min(b.len());
-    let diff = a[..common]
-        .iter()
-        .zip(&b[..common])
-        .filter(|(x, y)| (**x & 1) != (**y & 1))
-        .count();
-    diff + (a.len().max(b.len()) - common)
-}
-
-/// Bit error rate between a transmitted and received bit sequence.
-/// Returns 1.0 when the reference is empty but the received is not, and
-/// 0.0 when both are empty.
-pub fn bit_error_rate(reference: &[u8], received: &[u8]) -> f64 {
-    if reference.is_empty() {
-        return if received.is_empty() { 0.0 } else { 1.0 };
-    }
-    hamming_distance(reference, received) as f64 / reference.len().max(received.len()) as f64
-}
-
-/// XOR of two equal-length bit slices — the FreeRider tag-data extraction
-/// primitive (Table 1 of the paper). Truncates to the shorter input.
-pub fn xor_bits(a: &[u8], b: &[u8]) -> Vec<u8> {
-    a.iter().zip(b.iter()).map(|(x, y)| (x ^ y) & 1).collect()
-}
-
 /// Majority vote over a bit window: returns 1 if strictly more than half of
 /// the bits are 1.
 pub fn majority(bits: &[u8]) -> u8 {
     let ones = bits.iter().filter(|&&b| b & 1 == 1).count();
     u8::from(ones * 2 > bits.len())
-}
-
-/// A Fibonacci LFSR over GF(2), used for PN sequence generation and data
-/// whitening. Taps are given as bit positions (1-based, as in polynomial
-/// exponents); e.g. `x⁷+x⁴+1` is `taps = [7, 4]` with a 7-bit state.
-#[derive(Debug, Clone)]
-pub struct Lfsr {
-    state: u32,
-    taps: Vec<u32>,
-    nbits: u32,
-}
-
-impl Lfsr {
-    /// Creates an LFSR with `nbits` of state, feedback `taps` (positions
-    /// 1..=nbits) and a nonzero initial `state`.
-    ///
-    /// # Panics
-    /// Panics if `nbits` is 0 or > 31, any tap is out of range, or state is 0.
-    pub fn new(nbits: u32, taps: &[u32], state: u32) -> Self {
-        assert!((1..=31).contains(&nbits), "state width out of range");
-        assert!(
-            taps.iter().all(|&t| t >= 1 && t <= nbits),
-            "tap out of range"
-        );
-        assert!(state != 0, "LFSR state must be nonzero");
-        assert!(state < (1 << nbits), "state wider than register");
-        Lfsr {
-            state,
-            taps: taps.to_vec(),
-            nbits,
-        }
-    }
-
-    /// Advances one step, returning the output bit (the XOR of the taps).
-    #[inline]
-    pub fn step(&mut self) -> u8 {
-        let mut fb = 0u32;
-        for &t in &self.taps {
-            fb ^= (self.state >> (t - 1)) & 1;
-        }
-        self.state = ((self.state << 1) | fb) & ((1 << self.nbits) - 1);
-        fb as u8
-    }
-
-    /// Generates `n` output bits.
-    pub fn take(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.step()).collect()
-    }
-
-    /// Current register contents.
-    pub fn state(&self) -> u32 {
-        self.state
-    }
 }
 
 #[cfg(test)]
@@ -161,42 +56,16 @@ mod tests {
     }
 
     #[test]
-    fn msb_round_trip() {
-        let data = [0x80, 0x01, 0x5A];
-        assert_eq!(bits_to_bytes_msb(&bytes_to_bits_msb(&data)), data);
-    }
-
-    #[test]
     fn lsb_ordering_is_correct() {
         assert_eq!(
             bytes_to_bits_lsb(&[0b0000_0001]),
             vec![1, 0, 0, 0, 0, 0, 0, 0]
-        );
-        assert_eq!(
-            bytes_to_bits_msb(&[0b0000_0001]),
-            vec![0, 0, 0, 0, 0, 0, 0, 1]
         );
     }
 
     #[test]
     fn partial_byte_is_padded() {
         assert_eq!(bits_to_bytes_lsb(&[1, 1, 0]), vec![0b0000_0011]);
-        assert_eq!(bits_to_bytes_msb(&[1, 1, 0]), vec![0b1100_0000]);
-    }
-
-    #[test]
-    fn hamming_and_ber() {
-        assert_eq!(hamming_distance(&[1, 0, 1], &[1, 1, 1]), 1);
-        assert_eq!(hamming_distance(&[1, 0], &[1, 0, 1, 1]), 2);
-        assert!((bit_error_rate(&[1, 0, 1, 0], &[1, 0, 0, 0]) - 0.25).abs() < 1e-12);
-        assert_eq!(bit_error_rate(&[], &[]), 0.0);
-        assert_eq!(bit_error_rate(&[], &[1]), 1.0);
-    }
-
-    #[test]
-    fn xor_is_table_1_of_the_paper() {
-        // Table 1: tag bit = decoded codeword XOR excitation codeword.
-        assert_eq!(xor_bits(&[0, 1, 0, 1], &[0, 0, 1, 1]), vec![0, 1, 1, 0]);
     }
 
     #[test]
@@ -205,28 +74,5 @@ mod tests {
         assert_eq!(majority(&[1, 0, 0]), 0);
         assert_eq!(majority(&[1, 0]), 0); // tie → 0
         assert_eq!(majority(&[]), 0);
-    }
-
-    #[test]
-    fn lfsr_period_of_x7_x4_1_is_127() {
-        // The 802.11 scrambler polynomial is maximal-length: period 2⁷−1.
-        let mut l = Lfsr::new(7, &[7, 4], 0b1011101);
-        let start = l.state();
-        let mut period = 0usize;
-        loop {
-            l.step();
-            period += 1;
-            if l.state() == start {
-                break;
-            }
-            assert!(period < 200, "did not cycle");
-        }
-        assert_eq!(period, 127);
-    }
-
-    #[test]
-    #[should_panic]
-    fn lfsr_zero_state_panics() {
-        let _ = Lfsr::new(7, &[7, 4], 0);
     }
 }

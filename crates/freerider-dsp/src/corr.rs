@@ -43,7 +43,7 @@ const FIRST_CROSSING_PREFIX: usize = 256;
 /// `(crossing, peak)`, or `None` when no output reaches the threshold.
 ///
 /// [`normalized_correlation_into`] runs on a prefix of `signal` holding
-/// [`FIRST_CROSSING_PREFIX`] outputs, then 4× as many, and so on, until
+/// `FIRST_CROSSING_PREFIX` outputs, then 4× as many, and so on, until
 /// the prefix holds `crossing + lookahead − 1` or is the whole signal: a
 /// preamble near the start of a long buffer costs one short pass, not the
 /// whole buffer. `out` holds the last prefix's outputs afterwards. Output

@@ -6,12 +6,6 @@
 
 use crate::complex::Complex;
 
-/// Converts a power ratio to decibels.
-#[inline]
-pub fn ratio_to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
 /// Converts decibels to a power ratio.
 #[inline]
 pub fn db_to_ratio(db: f64) -> f64 {
@@ -50,19 +44,6 @@ pub fn mean_power_dbm(buf: &[Complex]) -> f64 {
     mw_to_dbm(mean_power(buf))
 }
 
-/// Scales a buffer so its mean power equals `target_mw`.
-/// A silent buffer is returned unchanged.
-pub fn normalize_power(buf: &mut [Complex], target_mw: f64) {
-    let p = mean_power(buf);
-    if p <= 0.0 {
-        return;
-    }
-    let k = (target_mw / p).sqrt();
-    for z in buf.iter_mut() {
-        *z = z.scale(k);
-    }
-}
-
 /// Thermal noise power in dBm for the given bandwidth (Hz) and receiver
 /// noise figure (dB): `−174 dBm/Hz + 10·log₁₀(B) + NF`.
 pub fn thermal_noise_dbm(bandwidth_hz: f64, noise_figure_db: f64) -> f64 {
@@ -76,7 +57,7 @@ mod tests {
     #[test]
     fn round_trips() {
         for db in [-90.0, -3.0, 0.0, 3.0, 20.0] {
-            assert!((ratio_to_db(db_to_ratio(db)) - db).abs() < 1e-12);
+            assert!((10.0 * db_to_ratio(db).log10() - db).abs() < 1e-12);
             assert!((mw_to_dbm(dbm_to_mw(db)) - db).abs() < 1e-12);
         }
     }
@@ -93,22 +74,13 @@ mod tests {
     fn field_scale_squares_to_power() {
         let g = 7.3;
         let amp = field_scale(g);
-        assert!((ratio_to_db(amp * amp) - g).abs() < 1e-10);
+        assert!((10.0 * (amp * amp).log10() - g).abs() < 1e-10);
     }
 
     #[test]
-    fn mean_power_and_normalise() {
-        let mut buf = vec![Complex::new(2.0, 0.0); 10];
+    fn mean_power_of_a_buffer() {
+        let buf = vec![Complex::new(2.0, 0.0); 10];
         assert!((mean_power(&buf) - 4.0).abs() < 1e-12);
-        normalize_power(&mut buf, 1.0);
-        assert!((mean_power(&buf) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_silent_buffer_is_noop() {
-        let mut buf = vec![Complex::ZERO; 4];
-        normalize_power(&mut buf, 1.0);
-        assert!(buf.iter().all(|z| *z == Complex::ZERO));
         assert_eq!(mean_power(&[]), 0.0);
     }
 

@@ -133,20 +133,6 @@ impl Fir {
         let d = self.group_delay();
         full[d..d + n].to_vec()
     }
-
-    /// Filters `input` around a frequency offset: mixes the band at
-    /// `freq_norm` (cycles/sample) down to DC, low-pass filters, and leaves
-    /// the result at baseband. This models a receiver front-end tuned to an
-    /// adjacent channel — exactly what the FreeRider backscatter receiver
-    /// does when the tag shifts the excitation signal by e.g. 20 MHz.
-    pub fn filter_around(&self, input: &[Complex], freq_norm: f64) -> Vec<Complex> {
-        let mixed: Vec<Complex> = input
-            .iter()
-            .enumerate()
-            .map(|(n, &x)| x * Complex::cis(-2.0 * std::f64::consts::PI * freq_norm * n as f64))
-            .collect();
-        self.filter(&mixed)
-    }
 }
 
 /// A single-pole RC low-pass useful for envelope-detector modelling.
@@ -224,20 +210,6 @@ mod tests {
         let out = f.filter(&input);
         let p: f64 = out[100..300].iter().map(|z| z.norm_sqr()).sum::<f64>() / 200.0;
         assert!((p - 1.0).abs() < 0.05, "passband power {p}");
-    }
-
-    #[test]
-    fn filter_around_extracts_offset_band() {
-        // Two tones: one at 0.25 cycles/sample, one at DC. Tuning to 0.25
-        // should keep only the first.
-        let mut nco = Nco::new(0.25);
-        let input: Vec<Complex> = (0..600)
-            .map(|_| nco.next() + Complex::new(1.0, 0.0))
-            .collect();
-        let f = Fir::low_pass(0.05, 63);
-        let out = f.filter_around(&input, 0.25);
-        let p: f64 = out[150..450].iter().map(|z| z.norm_sqr()).sum::<f64>() / 300.0;
-        assert!((p - 1.0).abs() < 0.05, "extracted power {p}");
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! * [`corr`] — normalised sliding correlation and the first-crossing
 //!   search for preamble detection.
 //! * [`db`] — dB/linear conversions and signal power measurement.
-//! * [`bits`] — bit/byte packing helpers shared by all framers.
+//! * [`bits`] — LSB-first bit/byte packing and the majority vote.
 //! * [`trace`] — IQ trace capture (the workspace's pcap analogue).
-//! * [`resample`] — integer-factor resampling for wide-band shift tests.
 //!
 //! The crate is deliberately synchronous and allocation-conscious: signal
 //! buffers are plain `Vec<Complex>`/slices, all algorithms are deterministic,
@@ -35,7 +34,6 @@ pub mod fft;
 pub mod fir;
 pub mod noise;
 pub mod osc;
-pub mod resample;
 pub mod trace;
 
 pub use complex::Complex;

@@ -62,9 +62,7 @@ impl Nco {
 ///
 /// The tag hardware cannot synthesise a complex exponential — it can only
 /// open/close an RF switch, multiplying the reflected signal by a two-level
-/// waveform. This type reproduces that, including an optional phase delay
-/// used by the phase-shift codeword translator (delaying the tag waveform by
-/// `Δθ/2πf` shifts the backscattered signal's phase by `Δθ`, paper §2.1).
+/// waveform. This type reproduces that.
 #[derive(Debug, Clone)]
 pub struct SquareWave {
     freq: f64,
@@ -82,11 +80,6 @@ impl SquareWave {
             "square wave frequency must be in (0, 0.5] cycles/sample, got {freq}"
         );
         SquareWave { freq, phase: 0.0 }
-    }
-
-    /// Sets a phase offset, expressed in radians of the fundamental.
-    pub fn set_phase(&mut self, radians: f64) {
-        self.phase = (radians / (2.0 * std::f64::consts::PI)).rem_euclid(1.0);
     }
 
     /// Returns the next sample (`+1.0` or `-1.0`) and advances.
@@ -197,25 +190,6 @@ mod tests {
         );
         // Sampled square waves alias slightly; allow a loose band around 1/3.
         assert!((third - upper / 3.0).abs() < 0.03, "3rd harmonic {third}");
-    }
-
-    #[test]
-    fn square_wave_phase_delay_shifts_fundamental_phase() {
-        let n = 1024;
-        let f = 64.0 / n as f64;
-        let theta = std::f64::consts::PI / 2.0;
-        let mut a = SquareWave::new(f);
-        let mut b = SquareWave::new(f);
-        b.set_phase(theta);
-        let mut fa: Vec<Complex> = a.take(n).iter().map(|&x| Complex::new(x, 0.0)).collect();
-        let mut fb: Vec<Complex> = b.take(n).iter().map(|&x| Complex::new(x, 0.0)).collect();
-        fft(&mut fa);
-        fft(&mut fb);
-        let dphi = (fb[64] * fa[64].conj()).arg();
-        assert!(
-            (dphi.abs() - theta).abs() < 0.05,
-            "phase shift {dphi} vs {theta}"
-        );
     }
 
     #[test]

@@ -82,28 +82,16 @@ impl Executor {
     /// `f(index, &item)` must be a pure function of its arguments (seed any
     /// randomness from `index` via stream derivation) — then the output is
     /// bit-identical whatever the worker count. Panics in `f` propagate.
+    ///
+    /// Every worker is a fresh scoped thread, so per-thread scratch that
+    /// `f` keeps in a `thread_local!` (the WiFi receive arenas) lives for
+    /// one worker's share of the items; on the serial path it is the
+    /// caller's own, warm from its previous calls.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
-    {
-        self.map_with(items, || (), |i, t, _| f(i, t))
-    }
-
-    /// [`Executor::map`] with reusable per-worker state: `mk_state` builds
-    /// one `S` per worker (one total on the serial path) and `f` receives
-    /// `&mut S` alongside each item. This is how hot loops (the WiFi
-    /// receiver's scratch arenas) reuse buffers across work items without
-    /// any cross-item coupling — `f` must still be a pure function of
-    /// `(index, &item)`, treating the state as scratch memory only, so
-    /// results stay bit-identical for any worker count.
-    pub fn map_with<T, R, S, M, F>(&self, items: &[T], mk_state: M, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        M: Fn() -> S + Sync,
-        F: Fn(usize, &T, &mut S) -> R + Sync,
     {
         // Flight-recorder scope for the whole fan-out. The id is a global
         // call counter: map() calls are issued serially by the
@@ -122,12 +110,7 @@ impl Executor {
             scope
         });
         if self.threads == 1 || items.len() <= 1 {
-            let mut state = mk_state();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t, &mut state))
-                .collect();
+            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(items.len());
@@ -136,7 +119,6 @@ impl Executor {
                 .map(|_| {
                     scope.spawn(|| {
                         mark_worker();
-                        let mut state = mk_state();
                         let mut out = Vec::new();
                         loop {
                             // lint: allow(o1) — RMW claims each index exactly once; scope join publishes results
@@ -144,7 +126,7 @@ impl Executor {
                             if i >= items.len() {
                                 break;
                             }
-                            out.push((i, f(i, &items[i], &mut state)));
+                            out.push((i, f(i, &items[i])));
                         }
                         out
                     })
@@ -220,19 +202,6 @@ impl Executor {
             (ra, rb)
         })
     }
-
-    /// Maps `f` over `items` and folds the ordered results with `reduce`,
-    /// starting from `init`. The fold itself runs serially in item order,
-    /// so any reduction (even a non-commutative one) is deterministic.
-    pub fn map_reduce<T, R, A, F, G>(&self, items: &[T], f: F, init: A, reduce: G) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.map(items, f).into_iter().fold(init, reduce)
-    }
 }
 
 #[cfg(test)]
@@ -270,45 +239,6 @@ mod tests {
             assert_eq!(serial.len(), par.len());
             for (a, b) in serial.iter().zip(&par) {
                 assert_eq!(a.to_bits(), b.to_bits(), "not bit-identical");
-            }
-        }
-    }
-
-    #[test]
-    fn map_reduce_folds_in_order() {
-        let items: Vec<usize> = (0..40).collect();
-        // Non-commutative fold: building a string of indices.
-        let s = Executor::new(4).map_reduce(
-            &items,
-            |i, _| i,
-            String::new(),
-            |mut acc, i| {
-                use std::fmt::Write;
-                write!(acc, "{i},").unwrap();
-                acc
-            },
-        );
-        let expect: String = (0..40).map(|i| format!("{i},")).collect();
-        assert_eq!(s, expect);
-    }
-
-    #[test]
-    fn map_with_reuses_state_and_stays_deterministic() {
-        // The per-worker state is scratch only: a buffer reused across
-        // items must not change results, whatever the worker count.
-        let items: Vec<u64> = (0..97).collect();
-        let run = |threads: usize| {
-            Executor::new(threads).map_with(&items, Vec::<f64>::new, |i, _, buf| {
-                buf.clear();
-                let mut rng = Rng64::derive(0xBEEF, i as u64);
-                buf.extend((0..64).map(|_| rng.gauss()));
-                buf.iter().sum::<f64>()
-            })
-        };
-        let serial = run(1);
-        for threads in [2, 4, 7] {
-            for (a, b) in serial.iter().zip(&run(threads)) {
-                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

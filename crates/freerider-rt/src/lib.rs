@@ -63,8 +63,6 @@ pub mod stream {
     pub const FADING: u64 = (1 << 32) + 1;
     /// Random excitation payload bytes.
     pub const PAYLOAD: u64 = (1 << 32) + 2;
-    /// Random tag data bits.
-    pub const TAG_BITS: u64 = (1 << 32) + 3;
     /// Interferer burst timing.
     pub const INTERFERER: u64 = (1 << 32) + 4;
     /// Reference (productive-link) channel of a backscatter link.

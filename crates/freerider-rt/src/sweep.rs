@@ -86,32 +86,14 @@ impl<T: Sync> Sweep<T> {
         R: Send,
         F: Fn(Point<'_, T>) -> R + Sync,
     {
-        self.run_with(|| (), |point, _| f(point))
-    }
-
-    /// [`Sweep::run`] with reusable per-worker scratch state: `mk_state`
-    /// builds one `S` per worker and `f` gets `&mut S` with every point.
-    /// The state must be treated as scratch memory only (see
-    /// [`Executor::map_with`]) — then results are still bit-identical for
-    /// any worker count.
-    pub fn run_with<R, S, M, F>(&self, mk_state: M, f: F) -> Vec<R>
-    where
-        R: Send,
-        M: Fn() -> S + Sync,
-        F: Fn(Point<'_, T>, &mut S) -> R + Sync,
-    {
         let seed = self.seed;
-        self.executor
-            .map_with(&self.points, mk_state, |index, value, state| {
-                f(
-                    Point {
-                        value,
-                        index,
-                        seed: derive_seed(seed, index as u64),
-                    },
-                    state,
-                )
+        self.executor.map(&self.points, |index, value| {
+            f(Point {
+                value,
+                index,
+                seed: derive_seed(seed, index as u64),
             })
+        })
     }
 }
 

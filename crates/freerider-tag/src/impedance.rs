@@ -35,27 +35,6 @@ impl ImpedanceBank {
         ImpedanceBank { antenna, states }
     }
 
-    /// The classic two-state tag on a 50 Ω antenna: matched (absorb) and
-    /// short (full reflect).
-    pub fn binary_50ohm() -> Self {
-        ImpedanceBank::new(
-            Complex::new(50.0, 0.0),
-            vec![Complex::new(50.0, 0.0), Complex::ZERO],
-        )
-    }
-
-    /// A multi-level bank giving graded |Γ| values, for fine amplitude
-    /// control (§2.1: "our tag switches across multiple impedances to fine
-    /// tune the amplitude").
-    pub fn multilevel_50ohm(levels: usize) -> Self {
-        assert!(levels >= 2);
-        // Resistive terminations from short (0 Ω) to matched (50 Ω).
-        let states = (0..levels)
-            .map(|k| Complex::new(50.0 * k as f64 / (levels - 1) as f64, 0.0))
-            .collect();
-        ImpedanceBank::new(Complex::new(50.0, 0.0), states)
-    }
-
     /// Number of selectable states.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -72,13 +51,6 @@ impl ImpedanceBank {
     /// Panics if `idx` is out of range.
     pub fn gamma(&self, idx: usize) -> Complex {
         reflection_coefficient(self.antenna, self.states[idx])
-    }
-
-    /// All |Γ| magnitudes, in state order.
-    pub fn amplitudes(&self) -> Vec<f64> {
-        (0..self.states.len())
-            .map(|i| self.gamma(i).abs())
-            .collect()
     }
 }
 
@@ -116,22 +88,14 @@ mod tests {
 
     #[test]
     fn binary_bank_has_absorb_and_reflect() {
-        let bank = ImpedanceBank::binary_50ohm();
-        let amps = bank.amplitudes();
-        assert!(amps[0] < 1e-12);
-        assert!((amps[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn multilevel_bank_is_monotonic() {
-        let bank = ImpedanceBank::multilevel_50ohm(5);
-        let amps = bank.amplitudes();
-        assert_eq!(amps.len(), 5);
-        for w in amps.windows(2) {
-            assert!(w[0] > w[1], "|Γ| must fall as Z_T approaches match");
-        }
-        assert!((amps[0] - 1.0).abs() < 1e-12); // short
-        assert!(amps[4] < 1e-12); // matched
+        // The classic two-state tag on a 50 Ω antenna: matched, then short.
+        let bank = ImpedanceBank::new(
+            Complex::new(50.0, 0.0),
+            vec![Complex::new(50.0, 0.0), Complex::ZERO],
+        );
+        assert_eq!(bank.len(), 2);
+        assert!(bank.gamma(0).abs() < 1e-12);
+        assert!((bank.gamma(1).abs() - 1.0).abs() < 1e-12);
     }
 
     #[test]

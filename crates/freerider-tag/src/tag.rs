@@ -127,11 +127,6 @@ impl Tag {
         self.state = TagState::Scheduled { slot };
     }
 
-    /// Returns to idle (round over / lost sync).
-    pub fn reset_schedule(&mut self) {
-        self.state = TagState::Idle;
-    }
-
     /// Feeds received IQ through the envelope detector and PLM decoder;
     /// returns any complete control message.
     pub fn observe(&mut self, iq: &[Complex]) -> Option<Vec<u8>> {
@@ -228,8 +223,6 @@ mod tests {
         assert_eq!(tag.state(), TagState::Idle);
         tag.schedule(5);
         assert_eq!(tag.state(), TagState::Scheduled { slot: 5 });
-        tag.reset_schedule();
-        assert_eq!(tag.state(), TagState::Idle);
     }
 
     #[test]

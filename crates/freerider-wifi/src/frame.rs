@@ -75,33 +75,10 @@ impl<T: AsRef<[u8]>> Mpdu<T> {
         self.buffer.as_ref()
     }
 
-    /// Frame-control field.
-    pub fn frame_control(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_le_bytes([b[0], b[1]])
-    }
-
     /// Duration/ID field.
     pub fn duration(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_le_bytes([b[2], b[3]])
-    }
-
-    fn addr(&self, off: usize) -> MacAddr {
-        let b = self.buffer.as_ref();
-        let mut a = [0u8; 6];
-        a.copy_from_slice(&b[off..off + 6]);
-        MacAddr(a)
-    }
-
-    /// Receiver address (Address 1).
-    pub fn addr1(&self) -> MacAddr {
-        self.addr(4)
-    }
-
-    /// Transmitter address (Address 2).
-    pub fn addr2(&self) -> MacAddr {
-        self.addr(10)
     }
 
     /// Sequence-control field.
@@ -152,10 +129,11 @@ mod tests {
         let f = Mpdu::build(MacAddr::local(1), MacAddr::local(2), 7, b"hello tag");
         assert!(f.fcs_valid());
         assert_eq!(f.payload(), b"hello tag");
-        assert_eq!(f.addr1(), MacAddr::local(1));
-        assert_eq!(f.addr2(), MacAddr::local(2));
         assert_eq!(f.sequence() >> 4, 7);
-        assert_eq!(f.frame_control(), 0x0008);
+        let b = f.as_bytes();
+        assert_eq!(b[..2], 0x0008u16.to_le_bytes()); // frame control: data
+        assert_eq!(b[4..10], MacAddr::local(1).0); // receiver
+        assert_eq!(b[10..16], MacAddr::local(2).0); // transmitter
     }
 
     #[test]

@@ -231,19 +231,12 @@ mod tests {
 }
 
 /// Per-bit soft demapping (max-log LLR approximations), weighted by the
-/// subcarrier's channel power gain.
+/// subcarrier's channel power gain, into a caller-provided buffer (cleared
+/// first) for the allocation-free RX path.
 ///
 /// Convention: positive = bit 1. The weighting makes bits on faded
 /// subcarriers low-confidence so the soft Viterbi decoder discounts them —
 /// essential on frequency-selective channels.
-pub fn soft_demap_symbols(symbols: &[Complex], gains: &[f64], modulation: Modulation) -> Vec<f64> {
-    let mut llrs = Vec::with_capacity(symbols.len() * modulation.bits_per_subcarrier());
-    soft_demap_symbols_into(symbols, gains, modulation, &mut llrs);
-    llrs
-}
-
-/// [`soft_demap_symbols`] into a caller-provided buffer (cleared first),
-/// for the allocation-free RX path. Values are identical.
 pub fn soft_demap_symbols_into(
     symbols: &[Complex],
     gains: &[f64],
@@ -371,6 +364,12 @@ pub fn soft_demap_deinterleave_batch_into(
 mod soft_tests {
     use super::*;
     use freerider_rt::Rng64;
+
+    fn soft_demap_symbols(symbols: &[Complex], gains: &[f64], m: Modulation) -> Vec<f64> {
+        let mut llrs = Vec::new();
+        soft_demap_symbols_into(symbols, gains, m, &mut llrs);
+        llrs
+    }
 
     #[test]
     fn soft_signs_match_hard_decisions() {

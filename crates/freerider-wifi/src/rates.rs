@@ -61,20 +61,6 @@ impl Mcs {
         Mcs::Qam64ThreeQuarters,
     ];
 
-    /// Nominal PHY bit rate in Mbps.
-    pub fn mbps(self) -> f64 {
-        match self {
-            Mcs::Bpsk12 => 6.0,
-            Mcs::Bpsk34 => 9.0,
-            Mcs::Qpsk12 => 12.0,
-            Mcs::Qpsk34 => 18.0,
-            Mcs::Qam16Half => 24.0,
-            Mcs::Qam16ThreeQuarters => 36.0,
-            Mcs::Qam64TwoThirds => 48.0,
-            Mcs::Qam64ThreeQuarters => 54.0,
-        }
-    }
-
     /// Constellation.
     pub fn modulation(self) -> Modulation {
         match self {
@@ -129,12 +115,6 @@ impl Mcs {
     pub fn data_symbols_for(self, len: usize) -> usize {
         (16 + 8 * len + 6).div_ceil(self.data_bits_per_symbol())
     }
-
-    /// Airtime in microseconds for a PSDU of `len` bytes, including the
-    /// 16 µs preamble and 4 µs SIGNAL.
-    pub fn airtime_us(self, len: usize) -> f64 {
-        20.0 + 4.0 * self.data_symbols_for(len) as f64
-    }
 }
 
 #[cfg(test)]
@@ -161,15 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_matches_dbps() {
-        for mcs in Mcs::ALL {
-            // N_DBPS per 4 µs symbol ⇒ Mbps.
-            let mbps = mcs.data_bits_per_symbol() as f64 / 4.0;
-            assert!((mbps - mcs.mbps()).abs() < 1e-9, "{mcs:?}");
-        }
-    }
-
-    #[test]
     fn signal_bits_round_trip() {
         for mcs in Mcs::ALL {
             assert_eq!(
@@ -181,10 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn symbol_count_and_airtime() {
+    fn symbol_count() {
         // 100-byte PSDU at 6 Mbps: (16+800+6)/24 = 34.25 → 35 symbols.
         assert_eq!(Mcs::Bpsk12.data_symbols_for(100), 35);
-        assert!((Mcs::Bpsk12.airtime_us(100) - 160.0).abs() < 1e-9);
         // Empty PSDU still needs one symbol.
         assert_eq!(Mcs::Bpsk12.data_symbols_for(0), 1);
     }

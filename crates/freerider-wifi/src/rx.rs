@@ -22,7 +22,8 @@
 //! threads an [`RxScratch`] arena through detection and decode, so a warm
 //! receiver touches no allocator at all for same-shaped packets. The
 //! convenience [`Receiver::receive`] / [`Receiver::receive_all`] wrappers
-//! build a scratch internally and are bit-identical to the `_with` forms.
+//! decode through a per-thread scratch and are bit-identical to the `_with`
+//! form.
 
 use crate::mapping::{soft_demap_deinterleave_batch_into, soft_demap_symbols_into};
 use crate::ofdm::{
@@ -242,9 +243,10 @@ impl RxScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch backing [`Receiver::receive`], so the convenience
-    /// API decodes at the same warm-buffer speed as an explicit
-    /// [`Receiver::receive_with`] loop. The arena stabilises at the largest
+    /// Per-thread scratch backing [`Receiver::receive`] and
+    /// [`Receiver::receive_all`], so the convenience API decodes at the
+    /// same warm-buffer speed as an explicit [`Receiver::receive_with`]
+    /// loop. The arena stabilises at the largest
     /// packet decoded on this thread (~400 KB for a 1000-byte PSDU) and is
     /// released at thread exit.
     static THREAD_SCRATCH: std::cell::RefCell<RxScratch> =
@@ -349,6 +351,15 @@ impl Receiver {
     ) -> Result<&'s RxPacket, RxError> {
         let _root = telemetry::stage("wifi.rx");
         profile::items(samples.len() as u64);
+        self.scan_with(samples, scratch)?;
+        Ok(&scratch.packet)
+    }
+
+    /// The detect/decode/resume loop behind [`Receiver::receive_with`] and
+    /// [`Receiver::receive_all`], without their `wifi.rx` stage and item
+    /// count: on success the first decodable packet is in `scratch.packet`.
+    // lint: hot-path
+    fn scan_with(&self, samples: &[Complex], scratch: &mut RxScratch) -> Result<(), RxError> {
         let mut cursor = 0usize;
         let mut first_err: Option<RxError> = None;
         let mut found = false;
@@ -373,39 +384,34 @@ impl Receiver {
             }
         }
         if found {
-            Ok(&scratch.packet)
+            Ok(())
         } else {
             Err(first_err.unwrap_or(RxError::NoPreamble))
         }
     }
 
     /// Receives every decodable PPDU in the buffer, skipping undecodable
-    /// regions.
+    /// regions: [`Receiver::receive_with`]'s scan from the end of each
+    /// packet it finds, on the per-thread arena that [`Receiver::receive`]
+    /// uses. One `wifi.rx` stage covers the whole buffer.
     pub fn receive_all(&self, samples: &[Complex]) -> Vec<RxPacket> {
         let _root = telemetry::stage("wifi.rx");
         profile::items(samples.len() as u64);
-        let mut scratch = RxScratch::new();
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
-        while cursor + PREAMBLE_LEN + SYMBOL_LEN < samples.len() {
-            match self.detect_with(&samples[cursor..], &mut scratch) {
-                Ok(ltf1) => match self.decode_at_with(&samples[cursor..], ltf1, &mut scratch) {
-                    Ok(()) => {
-                        scratch.packet.start += cursor;
-                        scratch.packet.end += cursor;
-                        let pkt = std::mem::take(&mut scratch.packet);
-                        cursor = pkt.end;
-                        out.push(pkt);
-                    }
-                    Err(_) => {
-                        // Skip past this false/failed sync point.
-                        cursor += ltf1 + FFT_SIZE;
-                    }
-                },
-                Err(_) => break,
+        THREAD_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let mut out = Vec::new();
+            let mut cursor = 0usize;
+            while cursor + PREAMBLE_LEN + SYMBOL_LEN < samples.len()
+                && self.scan_with(&samples[cursor..], &mut scratch).is_ok()
+            {
+                let mut pkt = std::mem::take(&mut scratch.packet);
+                pkt.start += cursor;
+                pkt.end += cursor;
+                cursor = pkt.end;
+                out.push(pkt);
             }
-        }
-        out
+            out
+        })
     }
 
     /// Finds the sample index of the first LTF long symbol.

@@ -142,8 +142,12 @@ mod tests {
             });
             let wave = tx.transmit(&[0xAB; 100]).unwrap();
             assert_eq!(wave.len(), tx.ppdu_len_samples(100), "{rate:?}");
-            let us = wave.len() as f64 / 20.0;
-            assert!((us - rate.airtime_us(100)).abs() < 1e-9, "{rate:?}");
+            // 16 µs preamble, 4 µs SIGNAL and 4 µs per DATA symbol.
+            let airtime_us = 20.0 + 4.0 * rate.data_symbols_for(100) as f64;
+            assert!(
+                (wave.len() as f64 / 20.0 - airtime_us).abs() < 1e-9,
+                "{rate:?}"
+            );
         }
     }
 

@@ -11,20 +11,17 @@ pub const SFD: u8 = 0xA7;
 /// Maximum PSDU size (aMaxPHYPacketSize).
 pub const MAX_PSDU_LEN: usize = 127;
 
-/// Errors from [`Ppdu::build`] / [`Ppdu::parse_after_sfd`].
+/// Errors from [`Ppdu::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     /// PSDU larger than 127 bytes.
     TooLong(usize),
-    /// Symbol stream shorter than the PHR-declared length.
-    Truncated,
 }
 
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrameError::TooLong(n) => write!(f, "PSDU of {n} bytes exceeds 127"),
-            FrameError::Truncated => write!(f, "PPDU truncated"),
         }
     }
 }
@@ -77,21 +74,6 @@ impl Ppdu {
         sym
     }
 
-    /// Parses a symbol stream beginning at the PHR (i.e. after the SFD).
-    /// Returns the PPDU and the number of symbols consumed.
-    pub fn parse_after_sfd(symbols: &[u8]) -> Result<(Ppdu, usize), FrameError> {
-        if symbols.len() < 2 {
-            return Err(FrameError::Truncated);
-        }
-        let len = (symbols_to_bytes(&symbols[..2])[0] & 0x7F) as usize;
-        let need = 2 + 2 * len;
-        if symbols.len() < need {
-            return Err(FrameError::Truncated);
-        }
-        let psdu = symbols_to_bytes(&symbols[2..need]);
-        Ok((Ppdu { psdu }, need))
-    }
-
     /// Whether the trailing FCS matches.
     pub fn fcs_valid(&self) -> bool {
         crc::check_crc16(&self.psdu)
@@ -119,7 +101,7 @@ mod tests {
     }
 
     #[test]
-    fn build_and_parse() {
+    fn build_lays_out_the_symbol_stream() {
         let p = Ppdu::build(b"zigbee payload").unwrap();
         assert!(p.fcs_valid());
         let symbols = p.to_symbols();
@@ -127,10 +109,10 @@ mod tests {
         // Preamble is zeros, SFD follows.
         assert!(symbols[..8].iter().all(|&s| s == 0));
         assert_eq!(&symbols[8..10], &[0x7, 0xA]);
-        let (parsed, used) = Ppdu::parse_after_sfd(&symbols[10..]).unwrap();
-        assert_eq!(used, symbols.len() - 10);
-        assert_eq!(parsed, p);
-        assert_eq!(parsed.payload(), b"zigbee payload");
+        // The PHR carries the PSDU length, and the PSDU follows it.
+        assert_eq!(symbols_to_bytes(&symbols[10..12]), [p.psdu.len() as u8]);
+        assert_eq!(symbols_to_bytes(&symbols[12..]), p.psdu);
+        assert_eq!(p.payload(), b"zigbee payload");
     }
 
     #[test]
@@ -148,19 +130,5 @@ mod tests {
         );
         // 125 + 2 FCS = 127 is the maximum.
         assert!(Ppdu::build(&[0u8; 125]).is_ok());
-    }
-
-    #[test]
-    fn truncated_rejected() {
-        let p = Ppdu::build(b"0123456789").unwrap();
-        let symbols = p.to_symbols();
-        assert_eq!(
-            Ppdu::parse_after_sfd(&symbols[10..symbols.len() - 3]).unwrap_err(),
-            FrameError::Truncated
-        );
-        assert_eq!(
-            Ppdu::parse_after_sfd(&[0x5]).unwrap_err(),
-            FrameError::Truncated
-        );
     }
 }

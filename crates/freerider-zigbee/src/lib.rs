@@ -47,6 +47,3 @@ pub const CHIPS_PER_SYMBOL: usize = 32;
 
 /// Samples per data symbol (16 µs).
 pub const SAMPLES_PER_SYMBOL: usize = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP;
-
-/// Data symbol duration in seconds.
-pub const SYMBOL_TIME: f64 = 16e-6;

@@ -370,60 +370,3 @@ mod tests {
         }
     }
 }
-
-impl RxPacket {
-    /// Link quality indicator in the 802.15.4 style: the mean despreading
-    /// correlation mapped to 0–255 (255 = every chip matched). Tag-flipped
-    /// symbols drag LQI down because complements are not codewords — a
-    /// cheap backscatter-presence hint a coordinator could use.
-    pub fn lqi(&self) -> u8 {
-        if self.symbol_scores.is_empty() {
-            return 0;
-        }
-        let mean: f64 = self.symbol_scores.iter().sum::<f64>() / self.symbol_scores.len() as f64;
-        ((mean / 32.0).clamp(0.0, 1.0) * 255.0).round() as u8
-    }
-}
-
-#[cfg(test)]
-mod lqi_tests {
-    use super::*;
-    use crate::tx::Transmitter;
-
-    #[test]
-    fn clean_frames_have_high_lqi() {
-        let tx = Transmitter::new();
-        let wave = tx.transmit(&[0x42; 20]).unwrap();
-        let rx = Receiver::new(RxConfig {
-            sensitivity_dbm: -200.0,
-            ..RxConfig::default()
-        });
-        let pkt = rx.receive(&wave).unwrap();
-        assert!(pkt.lqi() > 245, "clean LQI {}", pkt.lqi());
-    }
-
-    #[test]
-    fn tag_flips_reduce_lqi() {
-        let tx = Transmitter::new();
-        let wave = tx.transmit(&[0x42; 20]).unwrap();
-        let rx = Receiver::new(RxConfig {
-            sensitivity_dbm: -200.0,
-            ..RxConfig::default()
-        });
-        let clean = rx.receive(&wave).unwrap();
-        // Flip half of the PSDU region.
-        let mut tagged = wave.clone();
-        let psdu_start = 12 * SAMPLES_PER_SYMBOL;
-        let mid = psdu_start + (wave.len() - psdu_start) / 2;
-        for z in tagged[psdu_start..mid].iter_mut() {
-            *z = -*z;
-        }
-        let t = rx.receive(&tagged).unwrap();
-        assert!(
-            t.lqi() < clean.lqi() - 40,
-            "tagged LQI {} vs clean {}",
-            t.lqi(),
-            clean.lqi()
-        );
-    }
-}

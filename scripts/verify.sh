@@ -21,6 +21,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --offline -- -D warnings"
 cargo clippy --workspace --offline -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings, e.g. links to deleted items, fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> freerider-lint --workspace (determinism / panic / unsafe / hot-path contract)"
 cargo run --release --offline -p freerider-lint -- \
     --workspace --json /tmp/freerider_lint.json

@@ -167,6 +167,36 @@ fn a_second_fig16_window_decodes_into_the_threads_warm_arenas() {
 }
 
 #[test]
+fn a_second_serial_sweep_decodes_into_the_threads_warm_arenas() {
+    // A serial WiFi distance sweep decodes every distance into this
+    // thread's receive arena pair, as a Fig. 16 window does. A second
+    // same-seed sweep reuses the pair the first one grew, so it must
+    // allocate at least 256 KiB less on this thread.
+    use freerider::channel::BackscatterBudget;
+    use freerider::core::experiments::{distance_sweep_on, Technology};
+    use freerider::rt::Executor;
+    let sweep = || {
+        let points = distance_sweep_on(
+            Executor::serial(),
+            Technology::Wifi,
+            BackscatterBudget::wifi_los(),
+            &[2.0, 6.0],
+            2,
+            1000,
+            23,
+        );
+        points.iter().map(|p| p.ber.to_bits()).collect::<Vec<_>>()
+    };
+    let (first, _, cold) = measure(sweep);
+    let (second, _, warm) = measure(sweep);
+    assert_eq!(first, second);
+    assert!(
+        warm + 256 * 1024 <= cold,
+        "the second sweep allocated {warm} B against the first's {cold} B"
+    );
+}
+
+#[test]
 fn warm_batch_kernels_are_allocation_free() {
     // The kernels `receive_with` runs over a whole DATA field must each be
     // allocation-free once their buffers are warm: Viterbi at its default
