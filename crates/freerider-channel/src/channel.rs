@@ -135,22 +135,25 @@ impl Channel {
         taps.into_iter().map(|t| t / norm).collect()
     }
 
-    /// Convolves the waveform with this packet's tap vector.
-    fn apply_multipath(&mut self, wave: &[Complex]) -> Vec<Complex> {
+    /// Appends the waveform convolved with this packet's tap vector to
+    /// `out`.
+    fn apply_multipath_into(&mut self, wave: &[Complex], out: &mut Vec<Complex>) {
         let taps = self.draw_taps();
         if taps.len() == 1 {
-            return wave.iter().map(|&z| z * taps[0]).collect();
+            out.extend(wave.iter().map(|&z| z * taps[0]));
+            return;
         }
-        let mut out = vec![Complex::ZERO; wave.len()];
+        let start = out.len();
+        out.resize(start + wave.len(), Complex::ZERO);
+        let body = &mut out[start..];
         for (d, &t) in taps.iter().enumerate() {
             if t == Complex::ZERO {
                 continue;
             }
             for n in d..wave.len() {
-                out[n] += wave[n - d] * t;
+                body[n] += wave[n - d] * t;
             }
         }
-        out
     }
 
     /// Applies a phase-noise random walk in place.
@@ -195,35 +198,63 @@ impl Channel {
     /// Propagates a unit-power transmit waveform: multipath, fading gain,
     /// phase noise, power scaling to the target RSSI, thermal noise.
     pub fn propagate(&mut self, tx_wave: &[Complex]) -> Vec<Complex> {
+        let mut out = Vec::new();
+        self.propagate_into(tx_wave, &mut out);
+        out
+    }
+
+    /// [`Channel::propagate`] into `out` (cleared first), so a loop can
+    /// reuse one buffer packet to packet. The same bits as `propagate`.
+    pub fn propagate_into(&mut self, tx_wave: &[Complex], out: &mut Vec<Complex>) {
         let _stage = freerider_telemetry::stage("channel.propagate");
         freerider_telemetry::profile::items(tx_wave.len() as u64);
         let gain = db::field_scale(self.rssi_dbm);
         let fade = self.fade_gain();
-        let mut out = self.apply_multipath(tx_wave);
-        self.apply_phase_noise(&mut out);
+        out.clear();
+        self.apply_multipath_into(tx_wave, out);
+        self.apply_phase_noise(out);
         for z in out.iter_mut() {
             *z = *z * gain * fade;
         }
-        self.noise.add_to(&mut out);
-        out
+        self.noise.add_to(out);
     }
 
     /// Propagates with `pad` noise-only samples before and after the
     /// packet, so receivers must genuinely detect it.
     pub fn propagate_padded(&mut self, tx_wave: &[Complex], pad: usize) -> Vec<Complex> {
+        let mut out = Vec::new();
+        self.propagate_padded_into(tx_wave, pad, &mut out);
+        out
+    }
+
+    /// [`Channel::propagate_padded`] into `out` (cleared first). The same
+    /// bits as `propagate_padded`: the noise source is drawn in the same
+    /// order, and each packet sample is `body · gain · fade + noise`.
+    pub fn propagate_padded_into(
+        &mut self,
+        tx_wave: &[Complex],
+        pad: usize,
+        out: &mut Vec<Complex>,
+    ) {
         let _stage = freerider_telemetry::stage("channel.propagate");
         freerider_telemetry::profile::items((tx_wave.len() + 2 * pad) as u64);
         let gain = db::field_scale(self.rssi_dbm);
         let fade = self.fade_gain();
-        let mut body = self.apply_multipath(tx_wave);
-        self.apply_phase_noise(&mut body);
-        let mut out = Vec::with_capacity(body.len() + 2 * pad);
-        out.extend(self.noise.take(pad));
-        for &z in &body {
-            out.push(z * gain * fade + self.noise.sample());
+        out.clear();
+        out.reserve(tx_wave.len() + 2 * pad);
+        // Multipath and phase noise draw from the fading RNG, so building
+        // the body before filling the leading pad keeps the noise source's
+        // draw order: leading pad, body, trailing pad.
+        out.resize(pad, Complex::ZERO);
+        self.apply_multipath_into(tx_wave, out);
+        self.apply_phase_noise(&mut out[pad..]);
+        for z in out[..pad].iter_mut() {
+            *z = self.noise.sample();
         }
-        out.extend(self.noise.take(pad));
-        out
+        for z in out[pad..].iter_mut() {
+            *z = *z * gain * fade + self.noise.sample();
+        }
+        out.extend((0..pad).map(|_| self.noise.sample()));
     }
 
     /// Mean SNR in dB this channel delivers.
@@ -293,6 +324,29 @@ mod tests {
         }
         // P(|h|² < 0.1) = 1 − e^{−0.1} ≈ 9.5 %.
         assert!((50..350).contains(&deep), "deep fades {deep}/2000");
+    }
+
+    #[test]
+    fn into_forms_reuse_a_dirty_buffer_bit_for_bit() {
+        let tx: Vec<Complex> = (0..300).map(|n| Complex::cis(0.1 * n as f64)).collect();
+        let channel = || {
+            Channel::new(-70.0, -95.0, Fading::Rician { k_db: 9.0 }, 7)
+                .with_multipath(Multipath::hallway_20msps())
+                .with_phase_noise(1e-3)
+        };
+        let bits = |w: &[Complex]| -> Vec<(u64, u64)> {
+            w.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let (mut fresh, mut reused) = (channel(), channel());
+        let mut buf = vec![Complex::ONE; 1000];
+        for len in [300, 120, 300] {
+            let want = fresh.propagate_padded(&tx[..len], 40);
+            reused.propagate_padded_into(&tx[..len], 40, &mut buf);
+            assert_eq!(bits(&want), bits(&buf), "padded, {len} samples");
+            let want = fresh.propagate(&tx[..len]);
+            reused.propagate_into(&tx[..len], &mut buf);
+            assert_eq!(bits(&want), bits(&buf), "unpadded, {len} samples");
+        }
     }
 
     #[test]

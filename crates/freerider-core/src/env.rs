@@ -106,8 +106,9 @@ pub const REGISTRY: &[EnvKnob] = &[
         default: "all cores",
         doc: "Worker count for the parallel sweep executor; at 2 or more \
               a link run or Fig. 16 window outside a sweep worker also \
-              runs each packet's two legs on two cores. Results are \
-              bit-identical for every value; 1 forces serial execution.",
+              runs receiver 2 on one helper thread for the whole run. \
+              Results are bit-identical for every value; 1 forces serial \
+              execution.",
     },
     EnvKnob {
         name: "FREERIDER_TRACE",

@@ -27,6 +27,7 @@ pub use freerider_channel::channel::{Fading, Multipath};
 use freerider_channel::interference::Interferer;
 use freerider_channel::BackscatterBudget;
 use freerider_dsp::Complex;
+use freerider_rt::executor::Pipeline;
 use freerider_rt::{derive_seed, stream, Executor, Rng64};
 use freerider_tag::translator::{FskTranslator, PhaseTranslator};
 use freerider_telemetry::trace;
@@ -116,7 +117,10 @@ pub(crate) trait Phy: Sync {
     /// One receiver's working memory.
     type Scratch: Default + Send;
     /// A decoded packet, possibly borrowing its receiver's scratch.
-    type Rx<'s>: Send;
+    type Rx<'s>;
+    /// Receiver 2's decoded packet, owned, so it can leave the thread that
+    /// decoded it: what [`Phy::decode`] and [`Phy::rssi_dbm`] read.
+    type Back: Send;
     /// Baseband sample rate, samples/second.
     const SAMPLE_RATE: f64;
     /// Largest payload the PHY's frame carries, bytes.
@@ -140,16 +144,28 @@ pub(crate) trait Phy: Sync {
         heard: &[Complex],
         scratch: &'s mut Self::Scratch,
     ) -> Result<Self::Rx<'s>, &'static str>;
+    /// Receiver 2's `rx` as a [`Phy::Back`], reusing `spare`'s buffers
+    /// if given.
+    fn own(&self, rx: Self::Rx<'_>, spare: Option<Self::Back>) -> Self::Back;
     /// Whether the packet's FCS/CRC checks out.
     fn check_ok(rx: &Self::Rx<'_>) -> bool;
-    /// The receiver-reported RSSI, dBm.
-    fn rssi_dbm(rx: &Self::Rx<'_>) -> f64;
+    /// The RSSI receiver 2 reported, dBm.
+    fn rssi_dbm(back: &Self::Back) -> f64;
     /// Tag bits the tag embeds in a packet of `len` samples.
     fn capacity(&self, len: usize) -> usize;
-    /// The tag's translation of `wave`, and the tag bits it consumed.
-    fn translate(&self, wave: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize);
+    /// The tag's translation of `wave` into `tagged`, returning the tag
+    /// bits it consumed.
+    fn translate(&self, wave: &[Complex], tag_bits: &[u8], tagged: &mut Vec<Complex>) -> usize;
     /// The XOR decode of the tag bits from the two receivers' packets.
-    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Rx<'_>) -> Vec<u8>;
+    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Back) -> Vec<u8>;
+}
+
+/// One packet's receiver-2 leg as it crosses between [`run_link`]'s two
+/// stages: the tag's waveform, and receiver 2's packet once decoded. Its
+/// buffers come back with the result and carry a later packet.
+struct BackLeg<B> {
+    tagged: Vec<Complex>,
+    packet: Result<B, &'static str>,
 }
 
 /// The backscatter packet loop of Fig. 1, for every PHY: `packets`
@@ -157,17 +173,26 @@ pub(crate) trait Phy: Sync {
 /// (plus `interferer`, if any, at receiver 2) and receiver 2, then the XOR
 /// decode.
 ///
-/// Receiver 1 and the tag + receiver 2 are independent once the waveform
-/// exists, so each packet's two legs go through [`Executor::join_if`]: the
-/// backscatter leg runs on clones of the payload RNG, the backscatter
-/// channel and the interferer, committed only when receiver 1 decoded. A
-/// reference failure skips the tag and leaves all three untouched, exactly
-/// as if the leg never ran, so the statistics are the same bits on any
-/// executor.
+/// Receiver 2's side runs as the second stage of an
+/// [`Executor::pipeline`]: for the whole run, the stage owns the
+/// backscatter channel, the interferer, receiver 2's scratch and its
+/// receive buffer, and turns each packet's tagged waveform into receiver
+/// 2's packet. The caller runs the excitation TX, the tag and receiver 1.
+/// As soon as receiver 1 decides whether the packet counts, the caller
+/// commits the payload RNG and makes the next packet (its TX, tag-bit
+/// draws and translation), so that work overlaps this packet's receiver-2
+/// leg; then it takes receiver 2's packet and XOR-decodes it. The tag bits
+/// are drawn from a clone of the payload RNG, committed only when receiver
+/// 1 decoded, and a reference failure makes the pipeline roll the
+/// backscatter channel and interferer back, exactly as if the leg never
+/// ran, so the statistics are the same bits on any executor. Serially the
+/// stage runs where the loop's `keep` is, so the flight recorder and the
+/// profiler see the serial program's events: the TX and the tag record
+/// none.
 pub(crate) fn run_link<P: Phy>(
     phy: &P,
     draws: Draws,
-    mut interferer: Option<Interferer>,
+    interferer: Option<Interferer>,
     exec: Executor,
     [reference, backscatter]: &mut [P::Scratch; 2],
 ) -> LinkStats {
@@ -199,63 +224,87 @@ pub(crate) fn run_link<P: Phy>(
         return stats;
     }
     let payload_len = cfg.payload_len.min(P::MAX_PAYLOAD);
-    for i in 0..cfg.packets {
-        // One flight-recorder scope per excitation packet; the id is
-        // derived from (seed, index) so it is worker-count independent.
-        let _pkt = trace::packet(P::SCOPE, derive_seed(cfg.seed, i as u64));
-        let wave = phy.transmit(draws, payload_len, &mut rng);
-        stats.add_airtime(wave.len() as f64 / P::SAMPLE_RATE);
-
-        let (ref_rx, back) = exec.join_if(
-            || {
-                let heard = ref_channel.propagate(&wave);
-                let ref_rx = phy.receive(Leg::Reference, &heard, reference);
-                // Only the *reference* copy is expected to pass the check;
-                // the backscattered copy fails it by design.
-                let failure = match &ref_rx {
-                    Ok(p) => (!P::check_ok(p)).then_some(P::REF_CHECK_FAILED),
-                    Err(label) => Some(*label),
-                };
-                if let Some(label) = failure {
-                    trace::fail(label);
-                }
-                stats.note_productive(failure.is_none());
-                ref_rx
-            },
-            Result::is_ok,
-            || {
-                let (mut rng, mut channel) = (rng.clone(), back_channel.clone());
-                let mut interferer = interferer.clone();
-                let tag_bits = rng.bits(phy.capacity(wave.len()));
-                let (tagged, consumed) = phy.translate(&wave, &tag_bits);
-                debug_assert_eq!(consumed, tag_bits.len());
-                let mut heard = channel.propagate_padded(&tagged, P::PAD);
-                if let Some(i) = interferer.as_mut() {
-                    i.add_to(&mut heard);
-                }
-                let back_rx = phy.receive(Leg::Backscatter, &heard, backscatter);
-                (rng, channel, interferer, tag_bits, back_rx)
-            },
-        );
-        let (Ok(original), Some((next_rng, next_channel, next_interferer, tag_bits, back_rx))) =
-            (ref_rx, back)
-        else {
-            continue;
-        };
-        (rng, back_channel, interferer) = (next_rng, next_channel, next_interferer);
-        stats.note_sent(tag_bits.len());
-
-        match back_rx {
-            Ok(pkt) => {
-                stats.note_measured_rssi(P::rssi_dbm(&pkt));
-                stats.note_decoded(&tag_bits, &phy.decode(&original, &pkt));
-            }
-            Err(label) => {
-                trace::fail(label);
-                stats.note_lost();
-            }
+    let mut heard_back = Vec::new();
+    let receiver_2 = |(channel, interferer): &mut (Channel, Option<Interferer>),
+                      (tagged, spare): (Vec<Complex>, Option<P::Back>)| {
+        channel.propagate_padded_into(&tagged, P::PAD, &mut heard_back);
+        if let Some(i) = interferer.as_mut() {
+            i.add_to(&mut heard_back);
         }
-    }
+        let packet = phy.receive(Leg::Backscatter, &heard_back, backscatter);
+        BackLeg {
+            tagged,
+            packet: packet.map(|rx| phy.own(rx, spare)),
+        }
+    };
+    // Transmits the next packet and readies its receiver-2 leg: the tag
+    // bits come from a clone of the payload RNG, returned for the caller
+    // to commit, and the tag translates into `tagged` for the pipeline.
+    let next_packet =
+        |rng: &mut Rng64, mut tagged: Vec<Complex>, spare, pipe: &mut Pipeline<'_, _, _, _>| {
+            let wave = phy.transmit(draws, payload_len, rng);
+            let mut tagging = rng.clone();
+            let tag_bits = tagging.bits(phy.capacity(wave.len()));
+            let consumed = phy.translate(&wave, &tag_bits, &mut tagged);
+            debug_assert_eq!(consumed, tag_bits.len());
+            pipe.push((tagged, spare));
+            (wave, tagging, tag_bits)
+        };
+    exec.pipeline((back_channel, interferer), receiver_2, |pipe| {
+        // Two sample buffers cycle through the loop: one holds what
+        // receiver 1 hears and then the next packet's tagged waveform,
+        // while receiver 2's stage works on the other.
+        let mut heard_ref = Vec::new();
+        let mut spare = None;
+        let mut next = None;
+        for i in 0..cfg.packets {
+            // One flight-recorder scope per excitation packet; the id is
+            // derived from (seed, index) so it is worker-count independent.
+            let _pkt = trace::packet(P::SCOPE, derive_seed(cfg.seed, i as u64));
+            let (wave, tagging, tag_bits) = next
+                .take()
+                .unwrap_or_else(|| next_packet(&mut rng, Vec::new(), None, pipe));
+            stats.add_airtime(wave.len() as f64 / P::SAMPLE_RATE);
+
+            ref_channel.propagate_into(&wave, &mut heard_ref);
+            drop(wave);
+            let ref_rx = phy.receive(Leg::Reference, &heard_ref, reference);
+            // Only the *reference* copy is expected to pass the check;
+            // the backscattered copy fails it by design.
+            let failure = match &ref_rx {
+                Ok(p) => (!P::check_ok(p)).then_some(P::REF_CHECK_FAILED),
+                Err(label) => Some(*label),
+            };
+            if let Some(label) = failure {
+                trace::fail(label);
+            }
+            stats.note_productive(failure.is_none());
+            pipe.keep(ref_rx.is_ok());
+            if ref_rx.is_ok() {
+                rng = tagging;
+            }
+            if i + 1 < cfg.packets {
+                let buffer = std::mem::take(&mut heard_ref);
+                next = Some(next_packet(&mut rng, buffer, spare.take(), pipe));
+            }
+            let (Ok(original), Some(BackLeg { tagged, packet })) = (ref_rx, pipe.pop()) else {
+                continue;
+            };
+            heard_ref = tagged;
+            stats.note_sent(tag_bits.len());
+            match &packet {
+                Ok(back) => {
+                    stats.note_measured_rssi(P::rssi_dbm(back));
+                    stats.note_decoded(&tag_bits, &phy.decode(&original, back));
+                }
+                Err(label) => {
+                    trace::fail(label);
+                    stats.note_lost();
+                }
+            }
+            spare = packet.ok();
+        }
+    });
     stats
 }
 
@@ -379,9 +428,10 @@ impl WifiLink {
     /// [`WifiLink::run`] with caller-provided receive arenas.
     /// Statistics are bit-identical to [`WifiLink::run`].
     ///
-    /// Each packet's two receive legs run on two cores when the
-    /// environment's executor allows it (see [`Executor::join_if`]); the
-    /// statistics are the same bits either way.
+    /// Receiver 2 runs on a helper thread for the whole run, beside the
+    /// TX, the tag and receiver 1, when the environment's executor allows
+    /// it (see [`Executor::pipeline`]); the statistics are the same bits
+    /// either way.
     pub fn run_with(&self, scratch: &mut WifiLinkScratch) -> LinkStats {
         let exec = Executor::from_env();
         run_link(&self.radios(), Draws::Packed, None, exec, &mut scratch.0)
@@ -404,6 +454,7 @@ impl WifiLink {
 impl Phy for Radios<'_, WifiLink, freerider_wifi::Receiver> {
     type Scratch = freerider_wifi::RxScratch;
     type Rx<'s> = &'s freerider_wifi::RxPacket;
+    type Back = freerider_wifi::RxPacket;
     const SAMPLE_RATE: f64 = freerider_wifi::SAMPLE_RATE;
     // Header + payload + FCS never exceeds the 4095-byte PSDU.
     const MAX_PAYLOAD: usize = freerider_wifi::plcp::MAX_PSDU_LEN
@@ -449,23 +500,34 @@ impl Phy for Radios<'_, WifiLink, freerider_wifi::Receiver> {
         })
     }
 
+    fn own(&self, rx: Self::Rx<'_>, spare: Option<Self::Back>) -> Self::Back {
+        // Only what `decode` and `rssi_dbm` read, into reused buffers.
+        let mut back = spare.unwrap_or_default();
+        back.rssi_dbm = rx.rssi_dbm;
+        match self.link.scheme {
+            WifiTagScheme::Binary => back.data_bits.clone_from(&rx.data_bits),
+            WifiTagScheme::Quaternary => back.equalized.clone_from(&rx.equalized),
+        }
+        back
+    }
+
     fn check_ok(rx: &Self::Rx<'_>) -> bool {
         rx.fcs_valid
     }
 
-    fn rssi_dbm(rx: &Self::Rx<'_>) -> f64 {
-        rx.rssi_dbm
+    fn rssi_dbm(back: &Self::Back) -> f64 {
+        back.rssi_dbm
     }
 
     fn capacity(&self, len: usize) -> usize {
         self.link.translator.capacity(len)
     }
 
-    fn translate(&self, wave: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize) {
-        self.link.translator.translate(wave, tag_bits)
+    fn translate(&self, wave: &[Complex], tag_bits: &[u8], tagged: &mut Vec<Complex>) -> usize {
+        self.link.translator.translate_into(wave, tag_bits, tagged)
     }
 
-    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Rx<'_>) -> Vec<u8> {
+    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Back) -> Vec<u8> {
         let steps = self.link.translator.symbols_per_step;
         match self.link.scheme {
             WifiTagScheme::Binary => decoder::decode_wifi_binary(
@@ -532,6 +594,7 @@ impl ZigbeeLink {
 impl Phy for Radios<'_, ZigbeeLink, freerider_zigbee::Receiver> {
     type Scratch = ();
     type Rx<'s> = freerider_zigbee::RxPacket;
+    type Back = freerider_zigbee::RxPacket;
     const SAMPLE_RATE: f64 = freerider_zigbee::SAMPLE_RATE;
     const MAX_PAYLOAD: usize = 125;
     const PAD: usize = 150;
@@ -565,23 +628,27 @@ impl Phy for Radios<'_, ZigbeeLink, freerider_zigbee::Receiver> {
         })
     }
 
+    fn own(&self, rx: Self::Rx<'_>, _: Option<Self::Back>) -> Self::Back {
+        rx
+    }
+
     fn check_ok(rx: &Self::Rx<'_>) -> bool {
         rx.fcs_valid
     }
 
-    fn rssi_dbm(rx: &Self::Rx<'_>) -> f64 {
-        rx.rssi_dbm
+    fn rssi_dbm(back: &Self::Back) -> f64 {
+        back.rssi_dbm
     }
 
     fn capacity(&self, len: usize) -> usize {
         self.link.translator.capacity(len)
     }
 
-    fn translate(&self, wave: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize) {
-        self.link.translator.translate(wave, tag_bits)
+    fn translate(&self, wave: &[Complex], tag_bits: &[u8], tagged: &mut Vec<Complex>) -> usize {
+        self.link.translator.translate_into(wave, tag_bits, tagged)
     }
 
-    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Rx<'_>) -> Vec<u8> {
+    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Back) -> Vec<u8> {
         decoder::decode_zigbee_binary(
             &original.psdu_symbols,
             &backscattered.psdu_symbols,
@@ -637,6 +704,7 @@ impl BleLink {
 impl Phy for Radios<'_, BleLink, freerider_ble::Receiver> {
     type Scratch = ();
     type Rx<'s> = freerider_ble::RxPacket;
+    type Back = freerider_ble::RxPacket;
     const SAMPLE_RATE: f64 = freerider_ble::SAMPLE_RATE;
     const MAX_PAYLOAD: usize = 37;
     const PAD: usize = 200;
@@ -669,23 +737,27 @@ impl Phy for Radios<'_, BleLink, freerider_ble::Receiver> {
         })
     }
 
+    fn own(&self, rx: Self::Rx<'_>, _: Option<Self::Back>) -> Self::Back {
+        rx
+    }
+
     fn check_ok(rx: &Self::Rx<'_>) -> bool {
         rx.crc_valid
     }
 
-    fn rssi_dbm(rx: &Self::Rx<'_>) -> f64 {
-        rx.rssi_dbm
+    fn rssi_dbm(back: &Self::Back) -> f64 {
+        back.rssi_dbm
     }
 
     fn capacity(&self, len: usize) -> usize {
         self.link.translator.capacity(len)
     }
 
-    fn translate(&self, wave: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize) {
-        self.link.translator.translate(wave, tag_bits)
+    fn translate(&self, wave: &[Complex], tag_bits: &[u8], tagged: &mut Vec<Complex>) -> usize {
+        self.link.translator.translate_into(wave, tag_bits, tagged)
     }
 
-    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Rx<'_>) -> Vec<u8> {
+    fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Back) -> Vec<u8> {
         decoder::decode_ble_binary(
             &original.pdu_bits,
             &backscattered.pdu_bits,
@@ -886,6 +958,51 @@ mod tests {
                 "{tech:?}: some reference legs must fail: {s:?}"
             );
             assert!(s.packets_decoded > 0, "{tech:?}: {s:?}");
+        }
+    }
+
+    #[test]
+    fn the_pipeline_fills_and_drains_like_the_serial_loop() {
+        // Per technology, a seed of `marginal_cfg` whose first and sixth
+        // reference legs fail.
+        const SEEDS: [u64; 3] = [97, 6, 37];
+        for ((tech, floor), seed) in TECHS.into_iter().zip(MARGINAL_FLOOR_DBM).zip(SEEDS) {
+            // No job, one job, and one job pushed ahead of a pop.
+            for packets in 0..3 {
+                let cfg = LinkConfig {
+                    packets,
+                    ..short_cfg(tech.los_budget())
+                };
+                let s = both_for(tech, cfg, Draws::Packed, None);
+                assert_eq!(s.packets_decoded, packets, "{tech:?}");
+            }
+
+            // A run whose first and last reference legs fail, so the
+            // pipeline starts and ends on a rejected job. Packets before
+            // the last are the same in a shorter run of the same seed.
+            let bits_sent = |packets| {
+                let cfg = LinkConfig {
+                    seed,
+                    packets,
+                    ..marginal_cfg(tech, floor)
+                };
+                both_for(tech, cfg, Draws::Packed, None).tag_bits_sent
+            };
+            let n = 6;
+            assert_eq!(bits_sent(1), 0, "{tech:?}: the first leg must fail");
+            assert_eq!(
+                bits_sent(n),
+                bits_sent(n - 1),
+                "{tech:?}: the last leg must fail"
+            );
+            assert!(bits_sent(n) > 0, "{tech:?}: some legs must pass");
+
+            // A dark tag: the excitation cannot power it, so nothing runs.
+            let mut dark = short_cfg(tech.los_budget());
+            dark.d_tx_tag_m = 1e4;
+            assert!(!dark.budget.tag_operational(dark.d_tx_tag_m));
+            let s = both_for(tech, dark, Draws::Packed, None);
+            assert_eq!(stat_bits(&s), stat_bits(&LinkStats::new(s.budget_rssi_dbm)));
         }
     }
 

@@ -9,13 +9,17 @@
 //! [`crate::Rng64::derive`]), the parallel result is bit-identical to the
 //! serial one.
 //!
-//! [`Executor::join_if`] is the second, smaller fan-out: two independent
-//! legs of one computation, the second one speculative. It runs the legs
-//! side by side only where that cannot oversubscribe the pool or reorder
-//! a recorded event, and is otherwise the serial program it is defined as.
+//! [`Executor::pipeline`] is the second, smaller fan-out: a run of jobs
+//! handed to one helper thread for the whole run, each job speculative
+//! until the caller's verdict. It runs the helper beside the caller only
+//! where that cannot oversubscribe the pool or reorder a recorded event,
+//! and is otherwise the serial program it is defined as.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 thread_local! {
     /// Set on every thread this module spawns, so work already running on
@@ -143,64 +147,203 @@ impl Executor {
         indexed.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Runs `a`, and `b` if `keep` accepts `a`'s result: the result is
-    /// exactly that of the serial program
+    /// Runs `body` beside a two-stage pipeline: `body` pushes jobs, gives
+    /// each one a verdict, and pops their results in order, while
+    /// `stage(&mut state, job)` works them off. The result is exactly that
+    /// of the serial program in which
     ///
     /// ```text
-    /// let ra = a();
-    /// let rb = keep(&ra).then(b);
+    /// push(job)    stores the job,
+    /// keep(true)   runs stage(&mut state, job) on the stored job,
+    /// keep(false)  drops the stored job unrun,
+    /// pop()        returns the oldest verdict's result (None if rejected).
     /// ```
     ///
-    /// `b` must not depend on anything `a` does (it may not even observe
-    /// it), so it can run speculatively: when this executor has more than
-    /// one thread, the caller is not itself an executor thread, and neither
-    /// the flight recorder (`trace::active`) nor the stage profiler
-    /// (`profile::enabled`) is on, `b` runs on one scoped helper thread
-    /// while `a` runs on the caller, and `b`'s result is dropped when
-    /// `keep(&ra)` is false. Otherwise the serial program above runs as
-    /// written, so `FREERIDER_THREADS=1` spawns nothing, a link inside a
-    /// sweep worker never oversubscribes the pool, and traces and profile
-    /// trees record the serial event order.
+    /// A stage that may not depend on anything `body` does (it may not
+    /// even observe it) can therefore run speculatively: when this
+    /// executor has more than one thread, the caller is not itself an
+    /// executor thread, and neither the flight recorder (`trace::active`)
+    /// nor the stage profiler (`profile::enabled`) is on, one scoped
+    /// helper thread owns `state` and `stage` for the whole call, starts
+    /// each job as soon as it is pushed, and parks on a channel between
+    /// jobs. It takes a snapshot of `state` before each job and restores
+    /// it when the job's verdict is `keep(false)`, so a rejected job
+    /// leaves the state exactly where the serial program left it.
+    /// Otherwise the serial program above runs as written on the caller,
+    /// so `FREERIDER_THREADS=1` spawns nothing, a pipeline inside a sweep
+    /// worker never oversubscribes the pool, and traces and profile trees
+    /// record the serial event order.
     ///
-    /// A panic in `a` propagates (after `b` is joined). A panic in `b`
-    /// propagates when `keep(&ra)` is true; when it is false the serial
-    /// program never runs `b`, so a speculative panic is dropped with the
-    /// rest of `b`'s result.
-    pub fn join_if<RA, RB, A, K, B>(&self, a: A, keep: K, b: B) -> (RA, Option<RB>)
+    /// `body` must give a pushed job its verdict before it pushes the next
+    /// one, which is what lets the helper learn a job's verdict together
+    /// with the job after it. A panic in a kept job propagates from its
+    /// `pop`; a rejected job's panic is dropped with the rest of its
+    /// result, as the serial program never runs it. A panic in `body`
+    /// propagates after the helper has stopped.
+    pub fn pipeline<S, J, R, T>(
+        &self,
+        state: S,
+        mut stage: impl FnMut(&mut S, J) -> R + Send,
+        body: impl FnOnce(&mut Pipeline<'_, S, J, R>) -> T,
+    ) -> T
     where
-        A: FnOnce() -> RA,
-        K: FnOnce(&RA) -> bool,
-        B: FnOnce() -> RB + Send,
-        RB: Send,
+        S: Clone + Send,
+        J: Send,
+        R: Send,
     {
         let concurrent = self.threads > 1
             && !ON_WORKER.with(Cell::get)
             && !freerider_telemetry::trace::active()
             && !freerider_telemetry::profile::enabled();
         if !concurrent {
-            let ra = a();
-            let rb = keep(&ra).then(b);
-            return (ra, rb);
+            let mut pipe = Pipeline {
+                way: Way::Inline {
+                    state,
+                    stage: &mut stage,
+                    job: None,
+                    kept: VecDeque::new(),
+                },
+                verdicts: VecDeque::new(),
+                open: false,
+            };
+            return body(&mut pipe);
         }
         std::thread::scope(|scope| {
-            let helper = scope.spawn(|| {
+            let (jobs, inbox) = mpsc::channel::<(bool, J)>();
+            let (outbox, done) = mpsc::channel();
+            scope.spawn(move || {
                 mark_worker();
-                b()
-            });
-            let ra = a();
-            let rb = if keep(&ra) {
-                match helper.join() {
-                    Ok(rb) => Some(rb),
-                    Err(panic) => std::panic::resume_unwind(panic),
+                let mut state = state;
+                let mut snapshot: Option<S> = None;
+                for (roll_back, job) in inbox {
+                    if let (true, Some(before)) = (roll_back, snapshot.take()) {
+                        state = before;
+                    }
+                    snapshot = Some(state.clone());
+                    let r = catch_unwind(AssertUnwindSafe(|| stage(&mut state, job)));
+                    if outbox.send(r).is_err() {
+                        break;
+                    }
                 }
-            } else {
-                // The serial program never runs `b`: drop its result, a
-                // panic included.
-                drop(helper.join());
-                None
+            });
+            // Dropping `pipe` (also while `body` unwinds) closes the job
+            // channel, which ends the helper's loop before the scope joins.
+            let mut pipe = Pipeline {
+                way: Way::Helper {
+                    jobs,
+                    done,
+                    roll_back: false,
+                },
+                verdicts: VecDeque::new(),
+                open: false,
             };
-            (ra, rb)
+            body(&mut pipe)
         })
+    }
+}
+
+/// The caller's end of an [`Executor::pipeline`].
+pub struct Pipeline<'a, S, J, R> {
+    way: Way<'a, S, J, R>,
+    /// Verdicts of the jobs given one and not yet popped, oldest first.
+    verdicts: VecDeque<bool>,
+    /// Whether the newest pushed job still awaits its verdict.
+    open: bool,
+}
+
+enum Way<'a, S, J, R> {
+    /// The serial program, on the caller.
+    Inline {
+        state: S,
+        stage: &'a mut dyn FnMut(&mut S, J) -> R,
+        /// The pushed job awaiting its verdict.
+        job: Option<J>,
+        /// Results of kept jobs not yet popped.
+        kept: VecDeque<R>,
+    },
+    /// Jobs run on the helper thread.
+    Helper {
+        /// Each job, with whether to roll back the job before it first.
+        jobs: mpsc::Sender<(bool, J)>,
+        done: mpsc::Receiver<std::thread::Result<R>>,
+        /// Whether the last verdict, still unsent, rejected its job.
+        roll_back: bool,
+    },
+}
+
+impl<S, J, R> Pipeline<'_, S, J, R> {
+    /// Hands `job` to the stage.
+    ///
+    /// # Panics
+    /// If the previously pushed job has no verdict yet.
+    pub fn push(&mut self, job: J) {
+        // lint: allow(panic) — a caller bug: the helper needs each verdict before the next job
+        assert!(!self.open, "Pipeline::push before the previous job's keep");
+        self.open = true;
+        match &mut self.way {
+            Way::Inline { job: slot, .. } => *slot = Some(job),
+            Way::Helper {
+                jobs, roll_back, ..
+            } => {
+                // A closed channel means the helper is gone; the next
+                // `pop` reports it.
+                let _ = jobs.send((std::mem::take(roll_back), job));
+            }
+        }
+    }
+
+    /// Gives the newest pushed job its verdict: `keep` false rejects it,
+    /// as if it had never been pushed. The serial program runs a kept job
+    /// here.
+    ///
+    /// # Panics
+    /// If no pushed job awaits a verdict, or (serially) if the kept job
+    /// panics.
+    pub fn keep(&mut self, keep: bool) {
+        // lint: allow(panic) — a caller bug: every verdict needs its job
+        assert!(self.open, "Pipeline::keep without a pushed job");
+        self.open = false;
+        self.verdicts.push_back(keep);
+        match &mut self.way {
+            Way::Inline {
+                state,
+                stage,
+                job,
+                kept,
+            } => {
+                // A rejected job is dropped unrun.
+                if let (true, Some(job)) = (keep, job.take()) {
+                    kept.push_back(stage(state, job));
+                }
+            }
+            Way::Helper { roll_back, .. } => *roll_back = !keep,
+        }
+    }
+
+    /// The result of the oldest job with a verdict: `None` if it was
+    /// rejected. Waits for the helper to finish the job.
+    ///
+    /// # Panics
+    /// If no job with a verdict is left to pop, or if the job was kept and
+    /// its stage panicked (the stage's own panic resumes).
+    pub fn pop(&mut self) -> Option<R> {
+        let oldest = self.verdicts.pop_front();
+        // lint: allow(panic) — a caller bug: pop pairs with a verdict
+        let keep = oldest.expect("Pipeline::pop without a verdict");
+        match &mut self.way {
+            Way::Inline { kept, .. } => keep.then(|| kept.pop_front()).flatten(),
+            Way::Helper { done, .. } => {
+                // lint: allow(panic) — the helper catches every stage panic, so it outlives the pipeline
+                let r = done.recv().expect("pipeline helper exited");
+                match (keep, r) {
+                    (true, Ok(r)) => Some(r),
+                    (true, Err(panic)) => resume_unwind(panic),
+                    // The serial program never runs a rejected job: drop
+                    // its result, a panic included.
+                    (false, _) => None,
+                }
+            }
+        }
     }
 }
 
@@ -251,84 +394,211 @@ mod tests {
         assert_eq!(e.map(&[7u32], |_, &x| x + 1), vec![8]);
     }
 
-    /// Whether `join_if` may run concurrently in this process at all (the
-    /// flight recorder and profiler switches can be set from the env).
+    /// Serialises the tests that flip the process-wide profiler switch
+    /// against those that need it off.
+    fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Whether a pipeline may run concurrently in this process at all
+    /// (the flight recorder and profiler switches can be set from the
+    /// env).
     fn switches_off() -> bool {
         !freerider_telemetry::trace::active() && !freerider_telemetry::profile::enabled()
     }
 
+    /// Runs `verdicts.len()` jobs through `ex`'s pipeline, job `i` drawing
+    /// `i + 1` Gaussians from the stage's running RNG, in the order the
+    /// packet loop uses: push, verdict, push the next job, pop. Returns
+    /// each job's result (`None` if rejected) and the caller's own leg.
+    fn run_jobs(ex: Executor, seed: u64, verdicts: &[bool]) -> Vec<(u64, Option<u64>)> {
+        let stage = |rng: &mut Rng64, n: usize| (0..=n).map(|_| rng.gauss()).sum::<f64>().to_bits();
+        ex.pipeline(Rng64::derive(seed, 2), stage, |pipe| {
+            let mut caller = Rng64::derive(seed, 1);
+            let mut out = Vec::new();
+            if !verdicts.is_empty() {
+                pipe.push(0);
+            }
+            for (i, &keep) in verdicts.iter().enumerate() {
+                let mine = caller.next_u64();
+                pipe.keep(keep);
+                if i + 1 < verdicts.len() {
+                    pipe.push(i + 1);
+                }
+                out.push((mine, pipe.pop()));
+            }
+            out
+        })
+    }
+
     #[test]
-    fn join_if_matches_serial_at_any_width() {
+    fn pipeline_matches_serial_at_any_width() {
         for seed in 0..8u64 {
-            let run = |threads: usize| {
-                Executor::new(threads).join_if(
-                    || {
-                        let mut rng = Rng64::derive(seed, 1);
-                        (0..300).map(|_| rng.gauss()).sum::<f64>().to_bits()
-                    },
-                    |&a| a % 4 != 0,
-                    || {
-                        let mut rng = Rng64::derive(seed, 2);
-                        (0..300).map(|_| rng.gauss()).sum::<f64>().to_bits()
-                    },
-                )
-            };
-            let serial = run(1);
-            assert_eq!(serial.1.is_some(), serial.0 % 4 != 0);
-            assert_eq!(run(2), serial, "seed {seed}");
+            let mut flips = Rng64::derive(seed, 3);
+            let verdicts: Vec<bool> = (0..20).map(|_| flips.bernoulli(0.7)).collect();
+            let serial = run_jobs(Executor::serial(), seed, &verdicts);
+            for (&(_, r), &keep) in serial.iter().zip(&verdicts) {
+                assert_eq!(r.is_some(), keep, "seed {seed}");
+            }
+            assert_eq!(
+                run_jobs(Executor::new(2), seed, &verdicts),
+                serial,
+                "seed {seed}"
+            );
+        }
+        for n in 0..3 {
+            let all = vec![true; n];
+            assert_eq!(
+                run_jobs(Executor::new(2), 9, &all),
+                run_jobs(Executor::serial(), 9, &all)
+            );
         }
     }
 
     #[test]
-    fn join_if_drops_the_leg_keep_rejects() {
+    fn pipeline_drops_the_job_keep_rejects() {
         use std::sync::atomic::AtomicBool;
         let ran = AtomicBool::new(false);
-        let (a, b) =
-            Executor::serial().join_if(|| 7, |_| false, || ran.store(true, Ordering::Relaxed));
-        assert_eq!((a, b), (7, None));
-        assert!(!ran.load(Ordering::Relaxed), "the serial path ran `b`");
-        let (a, b) = Executor::new(2).join_if(|| 7, |_| false, || 9);
-        assert_eq!((a, b), (7, None));
-        // A speculative panic is dropped with the rest of `b`'s result,
-        // as the serial program never runs `b`.
-        let (a, b) = Executor::new(2).join_if(|| 7, |_| false, || -> i32 { panic!("discarded") });
-        assert_eq!((a, b), (7, None));
+        let out = Executor::serial().pipeline(
+            (),
+            |_, ()| ran.store(true, Ordering::Relaxed),
+            |pipe| {
+                pipe.push(());
+                pipe.keep(false);
+                pipe.pop()
+            },
+        );
+        assert_eq!(out, None);
+        assert!(
+            !ran.load(Ordering::Relaxed),
+            "the serial path ran a rejected job"
+        );
+        // A speculative panic is dropped with the rest of its result, as
+        // the serial program never runs the job, and the next job starts
+        // from the state before it.
+        for threads in [1, 2] {
+            let out = Executor::new(threads).pipeline(
+                0u32,
+                |count: &mut u32, fail: bool| {
+                    *count += 1;
+                    assert!(!fail, "discarded");
+                    *count
+                },
+                |pipe| {
+                    pipe.push(true);
+                    pipe.keep(false);
+                    pipe.push(false);
+                    let rejected = pipe.pop();
+                    pipe.keep(true);
+                    (rejected, pipe.pop())
+                },
+            );
+            assert_eq!(out, (None, Some(1)), "{threads} threads");
+        }
     }
 
     #[test]
-    fn join_if_propagates_a_panic_in_either_leg() {
+    fn pipeline_propagates_a_panic_in_a_kept_job_or_the_body() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         for threads in [1, 2] {
             let ex = Executor::new(threads);
-            let in_a = catch_unwind(AssertUnwindSafe(|| {
-                ex.join_if(|| -> i32 { panic!("leg a") }, |_| true, || 1)
+            let in_job = catch_unwind(AssertUnwindSafe(|| {
+                ex.pipeline(
+                    (),
+                    |_, ()| -> i32 { panic!("kept job") },
+                    |pipe| {
+                        pipe.push(());
+                        pipe.keep(true);
+                        pipe.pop()
+                    },
+                )
             }));
-            assert!(in_a.is_err(), "{threads} threads: leg a's panic was lost");
-            let in_b = catch_unwind(AssertUnwindSafe(|| {
-                ex.join_if(|| 1, |_| true, || -> i32 { panic!("leg b") })
+            assert!(
+                in_job.is_err(),
+                "{threads} threads: the kept job's panic was lost"
+            );
+            let in_body = catch_unwind(AssertUnwindSafe(|| {
+                ex.pipeline(
+                    (),
+                    |_, ()| 1,
+                    |pipe| {
+                        pipe.push(());
+                        panic!("body")
+                    },
+                )
             }));
-            assert!(in_b.is_err(), "{threads} threads: leg b's panic was lost");
+            assert!(
+                in_body.is_err(),
+                "{threads} threads: the body's panic was lost"
+            );
+        }
+    }
+
+    /// The threads 20 jobs ran on, through `ex`'s pipeline.
+    fn job_threads(ex: Executor) -> Vec<std::thread::ThreadId> {
+        ex.pipeline(
+            (),
+            |_, ()| std::thread::current().id(),
+            |pipe| {
+                pipe.push(());
+                (0..20)
+                    .map(|i| {
+                        pipe.keep(true);
+                        if i + 1 < 20 {
+                            pipe.push(());
+                        }
+                        pipe.pop().expect("kept")
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    #[test]
+    fn pipeline_runs_every_job_on_one_helper() {
+        use std::thread::current;
+        let _lock = switch_lock();
+        if switches_off() {
+            let threads = job_threads(Executor::new(2));
+            assert!(
+                threads.iter().all(|&t| t == threads[0]),
+                "one helper per run"
+            );
+            assert_ne!(threads[0], current().id(), "the helper is not the caller");
+        }
+        for t in job_threads(Executor::serial()) {
+            assert_eq!(t, current().id(), "serially, jobs run on the caller");
+        }
+        // The profiler records stages in the serial order, so a profiled
+        // pipeline runs on the caller too.
+        let was = freerider_telemetry::profile::enabled();
+        freerider_telemetry::profile::set_enabled(true);
+        let profiled = job_threads(Executor::new(2));
+        freerider_telemetry::profile::set_enabled(was);
+        for t in profiled {
+            assert_eq!(
+                t,
+                current().id(),
+                "with the profiler on, jobs run on the caller"
+            );
         }
     }
 
     #[test]
-    fn join_if_runs_serially_inside_a_worker() {
-        use std::thread::{current, ThreadId};
+    fn pipeline_runs_serially_inside_a_worker() {
+        use std::thread::current;
+        let _lock = switch_lock();
         let ex = Executor::new(2);
-        let threads_of = || -> (ThreadId, ThreadId) {
-            let (a, b) = ex.join_if(|| current().id(), |_| true, || current().id());
-            (a, b.expect("kept"))
-        };
-        if switches_off() {
-            let (a, b) = threads_of();
-            assert_eq!(a, current().id(), "leg a runs on the caller");
-            assert_ne!(a, b, "top level: leg b runs on a helper thread");
-        }
         // Two items on two workers: both run inside spawned workers,
-        // where a second fan-out would oversubscribe the pool.
-        for (a, b) in ex.map(&[0u8, 1], |_, _| threads_of()) {
-            assert_ne!(a, current().id(), "the item ran on a worker");
-            assert_eq!(a, b, "join_if inside a worker spawned a helper");
+        // where a helper would oversubscribe the pool.
+        let per_item = ex.map(&[0u8, 1], |_, _| (current().id(), job_threads(ex)));
+        for (worker, jobs) in per_item {
+            assert_ne!(worker, current().id(), "the item ran on a worker");
+            assert!(
+                jobs.iter().all(|&t| t == worker),
+                "a worker's pipeline spawned a helper"
+            );
         }
     }
 

@@ -16,9 +16,10 @@
 //!   that fans trial grids out over all cores. Because every point draws
 //!   from its own derived stream, parallel results are **bit-identical** to
 //!   serial ones regardless of scheduling; `FREERIDER_THREADS=1` forces the
-//!   serial path. [`Executor::join_if`] overlaps the two independent legs
-//!   of one computation (a WiFi link packet's reference and backscatter
-//!   decodes) with the same bit-identity.
+//!   serial path. [`Executor::pipeline`] hands a run of speculative jobs
+//!   to one helper thread for the whole run (a link's receiver-2 legs,
+//!   beside the TX, tag and receiver 1 on the caller) with the same
+//!   bit-identity.
 //! * [`CancelToken`] — a clonable cooperative-cancellation flag checked at
 //!   checkpoint boundaries (simulation rounds, sweep points), so
 //!   long-running jobs hosted by a service can be stopped cleanly without

@@ -122,7 +122,22 @@ impl PhaseTranslator {
     /// first. Samples before `data_start` and after the last whole step
     /// are reflected unmodified.
     pub fn translate(&self, excitation: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize) {
-        let mut out = excitation.to_vec();
+        let mut out = Vec::new();
+        let consumed = self.translate_into(excitation, tag_bits, &mut out);
+        (out, consumed)
+    }
+
+    /// [`PhaseTranslator::translate`] into `out` (cleared first), so a loop
+    /// can reuse one buffer packet to packet; returns the tag bits
+    /// consumed.
+    pub fn translate_into(
+        &self,
+        excitation: &[Complex],
+        tag_bits: &[u8],
+        out: &mut Vec<Complex>,
+    ) -> usize {
+        out.clear();
+        out.extend_from_slice(excitation);
         let step_len = self.symbols_per_step * self.symbol_len;
         let bps = self.bits_per_step();
         let mut consumed = 0usize;
@@ -139,7 +154,7 @@ impl PhaseTranslator {
             }
             pos += step_len;
         }
-        (out, consumed)
+        consumed
     }
 }
 
@@ -251,7 +266,22 @@ impl FskTranslator {
     /// 1 are multiplied by the Δf square wave (codeword swap); windows
     /// carrying a 0 are reflected unmodified (Eq. 6).
     pub fn translate(&self, excitation: &[Complex], tag_bits: &[u8]) -> (Vec<Complex>, usize) {
-        let mut out = excitation.to_vec();
+        let mut out = Vec::new();
+        let consumed = self.translate_into(excitation, tag_bits, &mut out);
+        (out, consumed)
+    }
+
+    /// [`FskTranslator::translate`] into `out` (cleared first), so a loop
+    /// can reuse one buffer packet to packet; returns the tag bits
+    /// consumed.
+    pub fn translate_into(
+        &self,
+        excitation: &[Complex],
+        tag_bits: &[u8],
+        out: &mut Vec<Complex>,
+    ) -> usize {
+        out.clear();
+        out.extend_from_slice(excitation);
         let window = self.bits_per_tag_bit * self.samples_per_bit;
         let mut consumed = 0usize;
         let mut pos = self.data_start;
@@ -268,7 +298,7 @@ impl FskTranslator {
             consumed += 1;
             pos += window;
         }
-        (out, consumed)
+        consumed
     }
 }
 

@@ -72,6 +72,20 @@ FREERIDER_THREADS=1 ./target/release/repro --quick all >/tmp/freerider_repro_t1.
 FREERIDER_THREADS=4 ./target/release/repro --quick all >/tmp/freerider_repro_t4.txt 2>/dev/null
 cmp /tmp/freerider_repro_t1.txt /tmp/freerider_repro_t4.txt
 
+echo "==> freerider link wifi|zigbee|ble stdout identical at FREERIDER_THREADS=1 and =2"
+# A link run on the caller's thread pipelines its packets: at 2 threads a
+# helper runs receiver 2 for the whole run beside the TX, tag and receiver
+# 1; at 1 thread the same loop runs receiver 2 inline. repro --quick all
+# at 4 threads runs its links inside executor workers, where the loop is
+# serial too, so only this step reaches the pipelined path.
+for tech in wifi zigbee ble; do
+    FREERIDER_THREADS=1 ./target/release/freerider link $tech --distance 3 --packets 20 \
+        >/tmp/freerider_link_t1.txt 2>/dev/null
+    FREERIDER_THREADS=2 ./target/release/freerider link $tech --distance 3 --packets 20 \
+        >/tmp/freerider_link_t2.txt 2>/dev/null
+    cmp /tmp/freerider_link_t1.txt /tmp/freerider_link_t2.txt
+done
+
 echo "==> repro --trace smoke (flight recorder + Chrome export)"
 ./target/release/repro --quick --trace /tmp/freerider_trace_smoke.json \
     --json /tmp/freerider_repro_traced.json fig10 >/dev/null
@@ -247,9 +261,10 @@ EOF
 
 echo "==> perfbench wifi-link serial vs two-leg (same op digests at FREERIDER_THREADS=1 and unset)"
 # Unset, the executor sizes itself from the cores, so on a multi-core
-# host each packet's reference and backscatter legs run side by side
-# (Executor::join_if); at 1 thread they run one after the other. Both
-# runs must be correct and agree on every op both completed.
+# host receiver 2 runs on a helper thread for the whole link run, beside
+# the TX, tag and receiver 1 (Executor::pipeline); at 1 thread the same
+# loop runs it inline. Both runs must be correct and agree on every op
+# both completed.
 FREERIDER_THREADS=1 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload wifi-link --seed 3 --seconds 2 --trace 0 \
     --out /tmp/freerider_perfbench_wifi_serial >/dev/null
