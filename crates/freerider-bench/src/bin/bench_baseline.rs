@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The output (schema `freerider-bench/1`, default path
-//! `benchmarks/BENCH_<git-sha>.json`) captures:
+//! `target/bench-baseline.json`) captures:
 //!
 //! * **kernels** — median/mean per-iteration time, one row per distinct
 //!   code path: the 64-point FFT, the Viterbi and correlation lane-width
@@ -22,13 +22,11 @@
 //! * **stages** — per-stage p50 and counts from the profile-on run;
 //! * **experiments** — per-experiment wall-clock of the repro registry.
 //!
-//! `scripts/bench_diff.py` diffs a fresh baseline against the committed
-//! `benchmarks/latest.json` and flags regressions beyond a configurable
-//! threshold (warn-only when no committed baseline exists yet).
-//!
-//! Wall-clock numbers vary machine to machine; baselines are comparable
-//! only within one host. The committed baseline documents the reference
-//! machine and lets CI catch order-of-magnitude regressions.
+//! Wall-clock numbers vary machine to machine, so documents are compared
+//! only within one host: `scripts/ab.py <base-rev> bench-baseline` builds
+//! this binary for a base revision and for the working tree, runs them in
+//! alternating pairs and fails a row only when the tree is consistently
+//! slower by more than the runs' own spread. Nothing is committed.
 
 use freerider_bench::micro::{bench, Summary};
 use freerider_coding::convolutional::{
@@ -69,18 +67,6 @@ const CORR_SWEEP: [(usize, &str, CorrKernel); 4] = [
     (4, "dsp/ltf_corr/lanes_4", corr_lanes::<4>),
     (8, "dsp/ltf_corr/lanes_8", corr_lanes::<8>),
 ];
-
-fn git_short_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
 
 struct KernelResult {
     name: &'static str,
@@ -219,8 +205,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let sha = git_short_sha();
-    let out_path = out.unwrap_or_else(|| format!("benchmarks/BENCH_{sha}.json"));
+    let out_path = out.unwrap_or_else(|| "target/bench-baseline.json".to_string());
     let (budget, max_iters) = if quick {
         (Duration::from_millis(60), 300)
     } else {
@@ -396,8 +381,7 @@ fn main() -> ExitCode {
 
     // Static-analyzer wall-clock over the real workspace (lex + item-tree
     // + all rules + cross-file wire scan). Tracked so the lint gate's
-    // cost stays visible as the codebase grows; bench_diff.py treats
-    // `lint/` rows as soft — analyzer runtime is not a product hot path.
+    // cost stays visible as the codebase grows.
     match std::env::current_dir()
         .ok()
         .and_then(|cwd| freerider_lint::walk::find_root(&cwd))
@@ -426,7 +410,6 @@ fn main() -> ExitCode {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("schema").string("freerider-bench/1");
-    w.key("git_sha").string(&sha);
     w.key("quick").bool(quick);
     w.key("kernels").begin_object();
     for row in &k.rows {
@@ -468,9 +451,9 @@ fn main() -> ExitCode {
     w.key("wifi_rx_on_ns").u64(prof_on.median.as_nanos() as u64);
     w.key("recording_pct").f64(profile_recording_pct);
     w.end_object();
-    // Per-stage rows from the profile-on RX run: p50 wall-clock (gated by
-    // bench_diff.py against the previous baseline's profile-on run — a
-    // like-for-like comparison) plus invocation counts for context.
+    // Per-stage rows from the profile-on RX run: p50 wall-clock (gated
+    // against the base revision's profile-on run, like for like) plus
+    // invocation counts for context.
     w.key("stages").begin_object();
     for (path, stat) in &stage_report {
         w.key(path).begin_object();

@@ -20,8 +20,7 @@ fn assert_usage_error(out: &Output, usage: &str, what: &str) {
     assert!(stderr.contains(usage), "{what}: no usage text in {stderr}");
 }
 
-/// A fresh per-test output directory, so no run can write into the repo's
-/// `benchmarks/`.
+/// A fresh per-test output directory, so no two runs share an output file.
 fn out_dir(test: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(test);
     let _ = std::fs::remove_dir_all(&dir);

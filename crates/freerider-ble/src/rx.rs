@@ -202,12 +202,6 @@ impl Receiver {
         drop(crc_stage);
         trace::value_str("ble.rx.crc", if crc_valid { "ok" } else { "bad" });
         profile::bits(8 * len as u64);
-        telemetry::event!(
-            Debug,
-            "ble.rx",
-            "packet: {len} B payload, CRC {}",
-            if crc_valid { "ok" } else { "BAD" }
-        );
         Ok(RxPacket {
             packet,
             crc_valid,

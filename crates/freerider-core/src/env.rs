@@ -10,7 +10,7 @@
 //!
 //! The *defining* constants stay next to their implementations
 //! ([`freerider_rt::executor::THREADS_ENV`], `freerider_telemetry`'s
-//! `LOG_ENV` / `TRACE_ENV`) because the dependency graph points the other
+//! `TRACE_ENV` / `PROFILE_ENV`) because the dependency graph points the other
 //! way — this crate sits above them. The registry duplicates the names on
 //! purpose, and the lint keeps the copies honest: a read without an entry
 //! is a D3 finding, and the lint's workspace self-check test fails on an
@@ -33,27 +33,12 @@ pub struct EnvKnob {
 /// Every registered knob, sorted by name.
 pub const REGISTRY: &[EnvKnob] = &[
     EnvKnob {
-        name: "FREERIDER_BENCH_THRESHOLD",
-        consumer: "scripts/bench_diff.py",
-        default: "50 (percent)",
-        doc: "Regression threshold for the bench-baseline diff: the verify \
-              gate fails when a kernel median slows down by more than this \
-              percentage over benchmarks/latest.json.",
-    },
-    EnvKnob {
         name: "FREERIDER_LANE_SLACK",
         consumer: "scripts/bench_diff.py",
         default: "10 (percent)",
         doc: "Slack for bench_diff.py --assert-lanes: a compiled-in lane \
               width passes its sweep when its median is within this \
               percentage of the fastest width's.",
-    },
-    EnvKnob {
-        name: "FREERIDER_LOG",
-        consumer: "freerider-telemetry::log",
-        default: "off",
-        doc: "Leveled stderr event log: error, warn, info, or debug. \
-              Diagnostics only — never feeds deterministic output.",
     },
     EnvKnob {
         name: "FREERIDER_PROFILE",
@@ -125,11 +110,6 @@ pub fn lookup(name: &str) -> Option<&'static EnvKnob> {
     REGISTRY.iter().find(|k| k.name == name)
 }
 
-/// True when `name` is a registered knob.
-pub fn is_registered(name: &str) -> bool {
-    lookup(name).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,10 +127,13 @@ mod tests {
 
     #[test]
     fn registry_covers_the_defining_constants() {
-        assert!(is_registered(freerider_rt::executor::THREADS_ENV));
-        assert!(is_registered(freerider_telemetry::log::LOG_ENV));
-        assert!(is_registered(freerider_telemetry::trace::TRACE_ENV));
-        assert!(is_registered(freerider_telemetry::profile::PROFILE_ENV));
+        for name in [
+            freerider_rt::executor::THREADS_ENV,
+            freerider_telemetry::trace::TRACE_ENV,
+            freerider_telemetry::profile::PROFILE_ENV,
+        ] {
+            assert!(lookup(name).is_some(), "{name}");
+        }
     }
 
     #[test]

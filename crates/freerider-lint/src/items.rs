@@ -126,18 +126,6 @@ impl ItemTree {
     pub fn enums(&self) -> impl Iterator<Item = &Item> {
         self.items.iter().filter(|i| i.kind == ItemKind::Enum)
     }
-
-    /// The function whose body contains original token index `idx`.
-    /// Bodies never partially overlap, so the innermost match is the one
-    /// with the latest start.
-    pub fn fn_at(&self, idx: usize) -> Option<&Item> {
-        self.fns()
-            .filter(|f| {
-                f.body
-                    .is_some_and(|(start, end)| start <= idx && idx <= end)
-            })
-            .max_by_key(|f| f.body.map(|(s, _)| s))
-    }
 }
 
 struct Parser<'t> {
@@ -857,27 +845,6 @@ pub enum FrameType {
         assert_eq!(names, vec!["SubmitJob", "Error", "Pair", "Last"]);
         assert_eq!(e.variants[0].line, 2);
         assert_eq!(e.variants[3].line, 7);
-    }
-
-    #[test]
-    fn fn_at_attributes_tokens_to_the_owning_fn() {
-        let src = "\
-fn alpha() { let a = 1; }
-fn beta() { let b = 2; }
-";
-        let toks = lex(src);
-        let t = ItemTree::parse(&toks);
-        let idx_b = toks
-            .iter()
-            .position(|t| matches!(&t.kind, Tok::Ident(s) if s == "b"))
-            .expect("ident b");
-        assert_eq!(t.fn_at(idx_b).map(|f| f.qual.as_str()), Some("beta"));
-        // A token outside any body attributes to nothing.
-        let idx_fn = toks
-            .iter()
-            .position(|t| matches!(&t.kind, Tok::Ident(s) if s == "fn"))
-            .expect("fn kw");
-        assert!(t.fn_at(idx_fn).is_none());
     }
 
     #[test]

@@ -229,14 +229,6 @@ impl NetworkSim {
 
         let total_bits: u64 = per_tag_bits.iter().sum();
         let allocations: Vec<f64> = per_tag_bits.iter().map(|&b| b as f64).collect();
-        freerider_telemetry::event!(
-            Info,
-            "mac.sim",
-            "{} tags, {} rounds: {:.1} kbps aggregate",
-            cfg.n_tags,
-            rounds.len(),
-            total_bits as f64 / total_time / 1e3
-        );
         SimReport {
             aggregate_bps: total_bits as f64 / total_time,
             fairness: jain_index(&allocations),

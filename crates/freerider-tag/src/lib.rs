@@ -13,23 +13,20 @@
 //!   Eqs. 4–5), FSK toggling (Bluetooth, Eq. 6 with the Eq. 10 sideband
 //!   constraint), and amplitude (the §2.1 mechanism that Fig. 2 shows
 //!   *breaking* OFDM — kept for the ablation).
-//! * [`impedance`] — the antenna impedance bank and reflection
-//!   coefficients Γ.
 //! * [`power`] — the µW-level power model of §3.3 (~30 µW total).
 //! * [`harvest`] — RF energy harvesting: the battery-free operating
 //!   envelope implied by that budget (extension).
-//! * [`tag`] — the tag state machine tying everything together.
+//! * [`tag`] — the tag tying everything together.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod envelope;
 pub mod harvest;
-pub mod impedance;
 pub mod plm;
 pub mod power;
 pub mod tag;
 pub mod translator;
 
-pub use tag::{Tag, TagConfig, TagState};
+pub use tag::{Tag, TagConfig};
 pub use translator::{AmplitudeTranslator, FskTranslator, PhaseTranslator};

@@ -1,5 +1,5 @@
-//! The tag state machine: envelope detection, PLM control reception, a
-//! data queue, and the configured codeword translator.
+//! The tag: envelope detection, PLM control reception, a data queue, and
+//! the configured codeword translator.
 
 use crate::envelope::{EnvelopeConfig, EnvelopeDetector};
 use crate::plm::{PlmConfig, PlmReceiver};
@@ -69,27 +69,12 @@ impl TagConfig {
     }
 }
 
-/// MAC-visible tag state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TagState {
-    /// Not synchronised to any round.
-    Idle,
-    /// Synchronised; waiting for its chosen slot.
-    Scheduled {
-        /// The slot this tag will transmit in.
-        slot: u16,
-    },
-    /// Currently backscattering.
-    Backscattering,
-}
-
 /// The FreeRider tag.
 #[derive(Debug)]
 pub struct Tag {
     config: TagConfig,
     envelope: EnvelopeDetector,
     plm: PlmReceiver,
-    state: TagState,
     queue: VecDeque<u8>,
 }
 
@@ -102,14 +87,8 @@ impl Tag {
             config,
             envelope,
             plm,
-            state: TagState::Idle,
             queue: VecDeque::new(),
         }
-    }
-
-    /// Current MAC state.
-    pub fn state(&self) -> TagState {
-        self.state
     }
 
     /// Queues data bits for uplink.
@@ -120,11 +99,6 @@ impl Tag {
     /// Bits waiting in the uplink queue.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Schedules this tag into `slot` of the current round.
-    pub fn schedule(&mut self, slot: u16) {
-        self.state = TagState::Scheduled { slot };
     }
 
     /// Feeds received IQ through the envelope detector and PLM decoder;
@@ -150,12 +124,10 @@ impl Tag {
         let capacity = self.config.translator.capacity(excitation.len());
         let take = capacity.min(self.queue.len());
         let bits: Vec<u8> = self.queue.iter().take(take).copied().collect();
-        self.state = TagState::Backscattering;
         let (wave, consumed) = self.config.translator.translate(excitation, &bits);
         for _ in 0..consumed {
             self.queue.pop_front();
         }
-        self.state = TagState::Idle;
         (wave, consumed)
     }
 }
@@ -215,14 +187,6 @@ mod tests {
             got = got.or(tag.observe_pulse(d));
         }
         assert_eq!(got, Some(vec![1, 0, 0, 1]));
-    }
-
-    #[test]
-    fn schedule_state_transitions() {
-        let mut tag = tiny_phase_tag();
-        assert_eq!(tag.state(), TagState::Idle);
-        tag.schedule(5);
-        assert_eq!(tag.state(), TagState::Scheduled { slot: 5 });
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   swapping the two FSK codewords; tag data 0 reflects unmodified. The
 //!   Δf choice is validated against the Eq. 10 sideband constraint at
 //!   construction.
-//! * [`AmplitudeTranslator`] — amplitude-dimension translation via the
-//!   impedance bank (§2.1). Valid for constant-envelope single-carrier
-//!   signals; **invalid for OFDM** (Fig. 2) — kept to reproduce that
-//!   negative result in the ablation benches.
+//! * [`AmplitudeTranslator`] — amplitude-dimension translation: two
+//!   reflection levels, as a switched impedance would give (§2.1). Valid
+//!   for constant-envelope single-carrier signals; **invalid for OFDM**
+//!   (Fig. 2) — kept to reproduce that negative result in the ablation
+//!   benches.
 //!
 //! All translators implement the same shape: given the excitation waveform
 //! and tag bits, produce the backscattered waveform. They are pure

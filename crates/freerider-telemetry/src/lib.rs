@@ -21,8 +21,6 @@
 //! - **Histograms** — log₂-binned `u64` distributions ([`LogHistogram`]),
 //!   the profiler's per-stage timing and the `freerider-serve` latency
 //!   store.
-//! - **Event log** — leveled stderr logging gated by `FREERIDER_LOG`
-//!   ([`event!`]).
 //! - **JSON** — a hand-rolled RFC 8259 writer ([`JsonWriter`]) used by
 //!   `repro --json` for machine-readable results, and its decode twin, a
 //!   pull reader ([`JsonReader`]) that the `freerider-serve` wire
@@ -51,7 +49,6 @@ pub mod chrome;
 pub mod hist;
 pub mod json;
 pub mod jsonv;
-pub mod log;
 pub mod profile;
 pub mod stage;
 pub mod timer;
@@ -61,7 +58,6 @@ pub use chrome::chrome_trace_json;
 pub use hist::{bin_index, bin_lower_bound, LogHistogram, BINS};
 pub use json::JsonWriter;
 pub use jsonv::{JsonError, JsonKind, JsonReader, JsonValue};
-pub use log::{Level, LOG_ENV};
 pub use profile::{ProfileData, StageStat, PROFILE_ENV};
 pub use stage::{stage, Stage};
 pub use timer::Stopwatch;

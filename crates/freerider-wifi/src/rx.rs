@@ -21,9 +21,8 @@
 //! The hot path is allocation-free in steady state: [`Receiver::receive_with`]
 //! threads an [`RxScratch`] arena through detection and decode, so a warm
 //! receiver touches no allocator at all for same-shaped packets. The
-//! convenience [`Receiver::receive`] / [`Receiver::receive_all`] wrappers
-//! decode through a per-thread scratch and are bit-identical to the `_with`
-//! form.
+//! convenience [`Receiver::receive`] wrapper decodes through a per-thread
+//! scratch and is bit-identical to the `_with` form.
 
 use crate::mapping::{soft_demap_deinterleave_batch_into, soft_demap_symbols_into};
 use crate::ofdm::{
@@ -243,11 +242,10 @@ impl RxScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch backing [`Receiver::receive`] and
-    /// [`Receiver::receive_all`], so the convenience API decodes at the
-    /// same warm-buffer speed as an explicit [`Receiver::receive_with`]
-    /// loop. The arena stabilises at the largest
-    /// packet decoded on this thread (~400 KB for a 1000-byte PSDU) and is
+    /// Per-thread scratch backing [`Receiver::receive`], so the
+    /// convenience API decodes at the same warm-buffer speed as an
+    /// explicit [`Receiver::receive_with`] loop. The arena stabilises at
+    /// the largest packet decoded on this thread (~400 KB for a 1000-byte PSDU) and is
     /// released at thread exit.
     static THREAD_SCRATCH: std::cell::RefCell<RxScratch> =
         std::cell::RefCell::new(RxScratch::new());
@@ -344,6 +342,7 @@ impl Receiver {
     /// returned by reference into the scratch; it stays valid until the
     /// next `_with` call reuses the arena. Results are bit-identical to
     /// [`Receiver::receive`].
+    // lint: hot-path
     pub fn receive_with<'s>(
         &self,
         samples: &[Complex],
@@ -351,26 +350,15 @@ impl Receiver {
     ) -> Result<&'s RxPacket, RxError> {
         let _root = telemetry::stage("wifi.rx");
         profile::items(samples.len() as u64);
-        self.scan_with(samples, scratch)?;
-        Ok(&scratch.packet)
-    }
-
-    /// The detect/decode/resume loop behind [`Receiver::receive_with`] and
-    /// [`Receiver::receive_all`], without their `wifi.rx` stage and item
-    /// count: on success the first decodable packet is in `scratch.packet`.
-    // lint: hot-path
-    fn scan_with(&self, samples: &[Complex], scratch: &mut RxScratch) -> Result<(), RxError> {
         let mut cursor = 0usize;
         let mut first_err: Option<RxError> = None;
-        let mut found = false;
         while cursor + PREAMBLE_LEN + SYMBOL_LEN <= samples.len() {
             match self.detect_with(&samples[cursor..], scratch) {
                 Ok(ltf1) => match self.decode_at_with(&samples[cursor..], ltf1, scratch) {
                     Ok(()) => {
                         scratch.packet.start += cursor;
                         scratch.packet.end += cursor;
-                        found = true;
-                        break;
+                        return Ok(&scratch.packet);
                     }
                     Err(e) => {
                         first_err.get_or_insert(e);
@@ -383,35 +371,7 @@ impl Receiver {
                 }
             }
         }
-        if found {
-            Ok(())
-        } else {
-            Err(first_err.unwrap_or(RxError::NoPreamble))
-        }
-    }
-
-    /// Receives every decodable PPDU in the buffer, skipping undecodable
-    /// regions: [`Receiver::receive_with`]'s scan from the end of each
-    /// packet it finds, on the per-thread arena that [`Receiver::receive`]
-    /// uses. One `wifi.rx` stage covers the whole buffer.
-    pub fn receive_all(&self, samples: &[Complex]) -> Vec<RxPacket> {
-        let _root = telemetry::stage("wifi.rx");
-        profile::items(samples.len() as u64);
-        THREAD_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let mut out = Vec::new();
-            let mut cursor = 0usize;
-            while cursor + PREAMBLE_LEN + SYMBOL_LEN < samples.len()
-                && self.scan_with(&samples[cursor..], &mut scratch).is_ok()
-            {
-                let mut pkt = std::mem::take(&mut scratch.packet);
-                pkt.start += cursor;
-                pkt.end += cursor;
-                cursor = pkt.end;
-                out.push(pkt);
-            }
-            out
-        })
+        Err(first_err.unwrap_or(RxError::NoPreamble))
     }
 
     /// Finds the sample index of the first LTF long symbol.
@@ -683,7 +643,6 @@ impl Receiver {
         trace::value_f64("wifi.rx.signal.viterbi_metric", sig_metric);
         let signal = Signal::decode(&sig24).map_err(|e| {
             profile::work("bad", 1);
-            telemetry::event!(Debug, "wifi.rx", "SIGNAL field rejected: {e:?}");
             trace::value_str("wifi.rx.signal", "bad");
             RxError::BadSignal(e)
         })?;
@@ -948,14 +907,6 @@ impl Receiver {
         drop(fcs_stage);
         trace::value_str("wifi.rx.fcs", if fcs_valid { "ok" } else { "bad" });
         profile::bits(8 * signal.length as u64);
-        telemetry::event!(
-            Debug,
-            "wifi.rx",
-            "packet: {} B at {:?}, FCS {}",
-            signal.length,
-            rate,
-            if fcs_valid { "ok" } else { "BAD" }
-        );
 
         let end = ltf1 + 2 * FFT_SIZE + SYMBOL_LEN * (1 + n_sym);
         scratch.packet.signal = signal;
@@ -1133,7 +1084,7 @@ mod tests {
     }
 
     #[test]
-    fn receive_all_finds_back_to_back_packets() {
+    fn receive_with_finds_back_to_back_packets() {
         let tx = Transmitter::new(TxConfig::default());
         let mut buf = vec![Complex::ZERO; 100];
         for i in 0..3u8 {
@@ -1146,12 +1097,14 @@ mod tests {
             sensitivity_dbm: -200.0,
             ..RxConfig::default()
         });
-        let pkts = rx.receive_all(&buf);
-        assert_eq!(pkts.len(), 3);
-        for (i, p) in pkts.iter().enumerate() {
-            assert_eq!(p.psdu[0], i as u8);
+        let mut scratch = RxScratch::new();
+        let (mut cursor, mut firsts) = (0, Vec::new());
+        while let Ok(p) = rx.receive_with(&buf[cursor..], &mut scratch) {
             assert!(p.fcs_valid);
+            firsts.push(p.psdu[0]);
+            cursor += p.end;
         }
+        assert_eq!(firsts, [0, 1, 2]);
     }
 
     #[test]

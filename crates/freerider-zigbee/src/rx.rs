@@ -227,12 +227,6 @@ impl Receiver {
         drop(fcs_stage);
         trace::value_str("zigbee.rx.fcs", if fcs_valid { "ok" } else { "bad" });
         profile::bits(8 * psdu_len as u64);
-        telemetry::event!(
-            Debug,
-            "zigbee.rx",
-            "packet: {psdu_len} B, FCS {}",
-            if fcs_valid { "ok" } else { "BAD" }
-        );
         let end = start + (phr_idx + 2 + n_psdu_sym) * SAMPLES_PER_SYMBOL;
         Ok(RxPacket {
             ppdu,

@@ -1,24 +1,36 @@
 #!/usr/bin/env python3
-"""A/B one perfbench workload: a base revision against the working tree.
+"""A/B a base revision against the working tree on this host: the repo's one speed comparison.
 
     python3 scripts/ab.py <base-rev> <workload> [pairs] [seconds] [--seed N] [--work DIR]
+    python3 scripts/ab.py <base-rev> bench-baseline [pairs] [--work DIR]
 
 Builds `<base-rev>` (any git revision) from a `git archive` export into its
-own directory with its own target directory, and the working tree's
-`perfbench/` as it stands. Both builds get the working tree's
-`.cargo/config.toml` and this process's environment, so they use the same
-compiler flags. Then it runs `pairs` (default 10) alternating pairs of
-`perfbench --workload <workload> --seconds <seconds> --trace 0` (default
-30 s), base first in even pairs and the tree first in odd ones; pair `i`
-runs seed `N + i` on both sides (default N = 1000).
+own directory with its own target directory, and the working tree as it
+stands. Both builds get the working tree's `.cargo/config.toml` and this
+process's environment, so they use the same compiler flags. Then it runs
+`pairs` (default 10) alternating pairs, base first in even pairs and the
+tree first in odd ones, so drift over the session hits both sides alike.
 
-For each end-to-end metric of BENCHMARK.json it prints each side's q1,
-median and q3 and the number of pairs the tree won. For every run it also
-prints the process's CPU time over its wall time, from
-`getrusage(RUSAGE_CHILDREN)`: a run whose threads overlap reads above 1,
-one whose threads take turns on one core reads about 1.
+With a perfbench `<workload>`, each run is `perfbench --workload <workload>
+--seconds <seconds> --trace 0` (default 30 s), and pair `i` runs seed
+`N + i` on both sides (default N = 1000). For each end-to-end metric of
+BENCHMARK.json it prints each side's q1, median and q3 and the number of
+pairs the tree won. For every run it also prints the process's CPU time
+over its wall time, from `getrusage(RUSAGE_CHILDREN)`: a run whose threads
+overlap reads above 1, one whose threads take turns on one core reads
+about 1.
 
-The base export and its build are kept in `--work` (default
+With `bench-baseline`, each run is one full `bench-baseline`, started in
+its side's own tree so that `lint/workspace_scan` scans that tree. The
+documents are judged by `bench_diff.verdict`: a kernel, stage or
+experiment row fails when the tree is slower in at least 9 in 10 pairs and
+its median exceeds the base's by more than the larger of the two sides'
+interquartile ranges.
+The exit status is 1 when any row fails. `scripts/verify.sh` runs this
+form against `HEAD`: a dirty tree is gated against its parent, and a clean
+one is an A/A check.
+
+The base export and its builds are kept in `--work` (default
 `target/ab/<sha>`), so a second A/B against the same revision reuses them.
 Run documents land in `--work`'s `runs/`. `git archive` rather than a
 worktree keeps the repository's own git metadata untouched.
@@ -34,8 +46,12 @@ import subprocess
 import sys
 import time
 
-# The docstring's summary line and usage line.
+from bench_diff import quartiles, verdict
+
+# The docstring's summary line and usage lines.
 USAGE = "\n\n".join(__doc__.strip().split("\n\n")[:2])
+# The `<workload>` that selects the bench-baseline gate.
+GATE = "bench-baseline"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -56,8 +72,9 @@ def parse(argv):
             die(f"unknown flag {a}")
         else:
             pos.append(a)
-    if not 2 <= len(pos) <= 4:
-        die("expected <base-rev> <workload> [pairs] [seconds]")
+    if not 2 <= len(pos) <= (3 if pos[1:2] == [GATE] else 4):
+        die("expected <base-rev> <workload> [pairs] [seconds]"
+            f" or <base-rev> {GATE} [pairs]")
     try:
         pairs = int(pos[2]) if len(pos) > 2 else 10
         seconds = float(pos[3]) if len(pos) > 3 else 30.0
@@ -123,29 +140,58 @@ def run(binary, workload, seed, seconds, out):
     return metrics, cpu / wall
 
 
-def quartiles(xs):
-    """q1, median, q3 by linear interpolation between order statistics."""
-    s = sorted(xs)
+def build_gate(src):
+    """Builds bench-baseline in `src` and returns the binary's path."""
+    subprocess.run(
+        ["cargo", "build", "--release", "--offline", "--locked", "--quiet",
+         "--manifest-path", os.path.join(src, "Cargo.toml"),
+         "-p", "freerider-bench", "--bin", GATE],
+        check=True,
+    )
+    return os.path.join(src, "target", "release", GATE)
 
-    def q(p):
-        k = (len(s) - 1) * p
-        lo = int(k)
-        hi = min(lo + 1, len(s) - 1)
-        return s[lo] + (s[hi] - s[lo]) * (k - lo)
 
-    return q(0.25), q(0.5), q(0.75)
+def gate(sha, work, pairs):
+    """Alternating bench-baseline pairs judged by `verdict`: 1 if a row fails."""
+    roots = {"base": export(sha, work), "tree": ROOT}
+    # Both binaries run from paths of one length: the exec path sits on
+    # the initial stack, and a longer one shifts every stack address of
+    # the run, which moved small stage rows by 2% between two copies of
+    # one binary.
+    os.makedirs(os.path.join(work, "bin"), exist_ok=True)
+    binaries = {side: os.path.join(work, "bin", side) for side in roots}
+    for side, root in roots.items():
+        shutil.copy(build_gate(root), binaries[side])
+    runs = {"base": [], "tree": []}
+    out = os.path.join(work, "runs", GATE)
+    os.makedirs(out, exist_ok=True)
+    for i in range(pairs):
+        for side in ["base", "tree"] if i % 2 == 0 else ["tree", "base"]:
+            path = os.path.join(out, f"{side}-{i}.json")
+            t0 = time.monotonic()
+            subprocess.run([binaries[side], "--out", path], cwd=roots[side],
+                           check=True, stdout=subprocess.DEVNULL)
+            print(f"pair {i + 1:2} {side}: {time.monotonic() - t0:.1f} s wall")
+            with open(path) as f:
+                runs[side].append(json.load(f))
+    failing, lines = verdict(runs["base"], runs["tree"])
+    print(f"\n{GATE}: {pairs} alternating pairs, base {sha[:12]} vs tree")
+    print("\n".join(lines))
+    return 1 if failing else 0
 
 
 def main(argv):
     base_rev, workload, pairs, seconds, seed0, work = parse(argv)
+    sha = git("rev-parse", "--verify", f"{base_rev}^{{commit}}")
+    work = work or os.path.join(ROOT, "target", "ab", sha[:12])
+    print(f"base {base_rev} = {sha[:12]}, built in {work}", file=sys.stderr)
+    if workload == GATE:
+        return gate(sha, work, pairs)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     names = [w["name"] for w in bench["workloads"]]
     if workload not in names:
-        die(f"workload must be one of {names}, not {workload!r}")
-    sha = git("rev-parse", "--verify", f"{base_rev}^{{commit}}")
-    work = work or os.path.join(ROOT, "target", "ab", sha[:12])
-    print(f"base {base_rev} = {sha[:12]}, built in {work}", file=sys.stderr)
+        die(f"workload must be one of {names + [GATE]}, not {workload!r}")
     sides = {"base": build(export(sha, work)), "tree": build(ROOT)}
     runs = {"base": [], "tree": []}
     out = os.path.join(work, "runs")

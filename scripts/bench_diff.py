@@ -1,39 +1,32 @@
 #!/usr/bin/env python3
-"""Diff a fresh bench-baseline JSON against the committed baseline.
+"""Judge `bench-baseline` documents: the same-host speed gate and the lane audit.
 
-    python3 scripts/bench_diff.py <old.json> <new.json> [--warn-only]
-    python3 scripts/bench_diff.py --assert-lanes <new.json>
+    python3 scripts/bench_diff.py --assert-lanes <doc.json>
     python3 scripts/bench_diff.py --selftest
 
-`--assert-lanes` audits the lane-width sweep evidence instead of diffing:
-the document must carry a `lanes` section, every advertised width
-(1 = the unbatched kernel) must have its measured `lanes_N` kernel row,
-and each compiled-in `selected` default must be the measured winner of
-its sweep (within a noise slack, default 10% -- override with
-FREERIDER_LANE_SLACK). This is how verify.sh keeps
-`DEFAULT_VITERBI_LANES`/`DEFAULT_CORR_LANES` honest: a default that loses
-its own sweep fails CI.
+`verdict` is the speed gate that `scripts/ab.py <base-rev> bench-baseline`
+applies to alternating base/tree pairs of runs made on one host. A row is
+a kernel median, a profile-stage p50 or an experiment's wall-clock, and
+every row is gated by one rule: it fails only when the tree is slower in
+at least 9 of 10 pairs **and** the tree's median exceeds the base's by
+more than the larger of the two sides' interquartile ranges. So a row
+must lose consistently, and by more than its own run-to-run spread,
+before it fails. The rule has no threshold constant: its only inputs are
+the runs themselves. A row present on only one side is listed and not
+gated.
 
-Compares kernel median times, per-profile-stage p50 times, and
-per-experiment wall-clock between two `freerider-bench/1` documents. A
-metric regresses when the new value exceeds the old by more than the
-threshold (percent, default 50 -- wall-clock benchmarks are noisy;
-override with FREERIDER_BENCH_THRESHOLD).
-
-Kernel and stage regressions always fail (exit 1): the PHY hot paths are
-the product, and a silent 2x loss there is exactly what this gate exists
-to catch. Stage rows come from `bench-baseline`'s profile-on WiFi RX run
-on both sides, so the comparison is like for like (profiling overhead is
-present in both). `--warn-only` downgrades only the experiment
-wall-clock rows, which bundle scheduling noise and workload drift on top
-of kernel time. A missing old baseline is still fine (first run: nothing
-to compare yet).
+`--assert-lanes` audits one document's lane-width sweep instead: the
+document must carry a `lanes` section, every advertised width (1 = the
+unbatched kernel) must have its measured `lanes_N` kernel row, and each
+compiled-in `selected` default must be the measured winner of its sweep
+(within a noise slack, default 10% -- override with FREERIDER_LANE_SLACK).
+This is how verify.sh keeps `DEFAULT_VITERBI_LANES`/`DEFAULT_CORR_LANES`
+honest: a default that loses its own sweep fails CI.
 
 An unknown `-`-prefixed argument exits 2 with the usage text.
 
-`--selftest` exercises the gate on synthetic documents -- a clean pair
-must pass and an injected per-stage regression must exit 1 -- and is run
-by scripts/verify.sh so the gate itself cannot silently rot.
+`--selftest` exercises both on synthetic documents and is run by
+scripts/verify.sh, so neither gate can silently rot.
 """
 
 import contextlib
@@ -44,7 +37,7 @@ import sys
 
 # The docstring's summary line and usage lines.
 USAGE = "\n\n".join(__doc__.strip().split("\n\n")[:2])
-FLAGS = {"--selftest", "--assert-lanes", "--warn-only"}
+FLAGS = {"--selftest", "--assert-lanes"}
 
 
 def load(path):
@@ -55,56 +48,71 @@ def load(path):
     return doc
 
 
-def diff(old, new, threshold, warn_only):
-    """Returns (exit code, printed lines) for one old/new document pair."""
-    rows = []  # (metric, hard failure?, old value, new value, unit)
-    for name, k in new.get("kernels", {}).items():
-        prev = old.get("kernels", {}).get(name)
-        if prev:
-            # `lint/` rows track analyzer wall-clock, not product hot
-            # paths: downgradable by --warn-only like experiment rows.
-            hard = not name.startswith("lint/")
-            rows.append((f"kernel {name}", hard, prev["median_ns"], k["median_ns"], "ns"))
-    for name, s in new.get("stages", {}).items():
-        prev = old.get("stages", {}).get(name)
-        if prev and prev.get("p50_ns"):
-            rows.append((f"stage {name}", True, prev["p50_ns"], s["p50_ns"], "ns"))
-    for name, e in new.get("experiments", {}).items():
-        prev = old.get("experiments", {}).get(name)
-        if prev:
-            rows.append((f"experiment {name}", False, prev["wall_s"], e["wall_s"], "s"))
+def quartiles(xs):
+    """q1, median, q3 by linear interpolation between order statistics."""
+    s = sorted(xs)
 
-    lines = []
-    if not rows:
-        lines.append("bench_diff: no overlapping metrics between baselines")
-        return 0, lines
+    def q(p):
+        k = (len(s) - 1) * p
+        lo = int(k)
+        hi = min(lo + 1, len(s) - 1)
+        return s[lo] + (s[hi] - s[lo]) * (k - lo)
 
-    hard_regressions = 0
-    soft_regressions = 0
-    lines.append(f"bench_diff: {old.get('git_sha')} -> {new.get('git_sha')}"
-                 f" (threshold {threshold:g}%)")
-    for metric, hard, before, after, unit in rows:
-        delta = (after / before - 1.0) * 100.0 if before else 0.0
-        flag = ""
-        if delta > threshold:
-            if hard or not warn_only:
-                flag = "  << REGRESSION"
-                hard_regressions += 1
-            else:
-                flag = "  << regression (warn-only)"
-                soft_regressions += 1
-        lines.append(f"  {metric:<40} {before:>12g} -> {after:>12g} {unit}"
-                     f"  ({delta:+6.1f}%){flag}")
+    return q(0.25), q(0.5), q(0.75)
 
-    if soft_regressions:
-        lines.append(f"bench_diff: {soft_regressions} experiment wall-clock metric(s)"
-                     f" regressed beyond {threshold:g}% (downgraded by --warn-only)")
-    if hard_regressions:
-        lines.append(f"bench_diff: {hard_regressions} metric(s) regressed"
-                     f" beyond {threshold:g}%")
-        return 1, lines
-    lines.append("bench_diff: OK")
-    return 0, lines
+
+def rows(doc):
+    """Every timed row of one document: name -> (value, unit)."""
+    out = {}
+    for name, k in doc.get("kernels", {}).items():
+        out[f"kernel {name}"] = (k["median_ns"], "ns")
+    for name, s in doc.get("stages", {}).items():
+        out[f"stage {name}"] = (s["p50_ns"], "ns")
+    for name, e in doc.get("experiments", {}).items():
+        out[f"experiment {name}"] = (e["wall_s"], "s")
+    return out
+
+
+def verdict(base_docs, tree_docs):
+    """Returns (failing row names, printed lines) for paired runs:
+    `base_docs[i]` and `tree_docs[i]` are pair i."""
+    assert base_docs and len(base_docs) == len(tree_docs), "runs must pair up"
+    n = len(base_docs)
+    base = [rows(d) for d in base_docs]
+    tree = [rows(d) for d in tree_docs]
+    names = sorted(set().union(*base, *tree))
+    failing, lines = [], []
+    lines.append(f"{'row':<48}{'base median':>13}{'IQR':>11}"
+                 f"{'tree median':>13}{'ratio':>8}{'slower':>8}")
+    for name in names:
+        if not all(name in r for r in base + tree):
+            side = "base" if all(name in r for r in base) else \
+                "tree" if all(name in r for r in tree) else "some runs"
+            lines.append(f"{name:<48}  on {side} only, not gated")
+            continue
+        unit = base[0][name][1]
+        a = [r[name][0] for r in base]
+        b = [r[name][0] for r in tree]
+        slower = sum(y > x for x, y in zip(a, b))
+        qa, qb = quartiles(a), quartiles(b)
+        # The larger IQR: ten runs can give one side a freak-tight spread
+        # (an A/A gate read viterbi/lanes_4 at 0.7% on one side, 27% on
+        # the other).
+        iqr = max(qa[2] - qa[0], qb[2] - qb[0])
+        fails = 10 * slower >= 9 * n and qb[1] - qa[1] > iqr
+        ratio = qb[1] / qa[1] if qa[1] else float("nan")
+        lines.append(f"{name:<48}{qa[1]:>11.4g}{unit:>2}{iqr:>9.3g}{unit:>2}"
+                     f"{qb[1]:>11.4g}{unit:>2}{ratio:>8.3f}{slower:>5}/{n}"
+                     + ("  << SLOWER" if fails else ""))
+        if fails:
+            failing.append(name)
+    if failing:
+        lines.append(f"bench_diff: {len(failing)} row(s) slower in at least 9 in 10"
+                     f" of {n} pairs by more than the IQR: {', '.join(failing)}")
+    else:
+        lines.append(f"bench_diff: OK, no row slower in at least 9 in 10 of {n}"
+                     " pairs by more than the IQR")
+    return failing, lines
 
 
 # Lane-sweep groups: `lanes` section key -> kernel row prefix. Each group's
@@ -167,63 +175,49 @@ def assert_lanes(doc, slack):
 
 
 def selftest():
-    """The gate gates: a clean pair passes, an injected stage regression fails."""
-    base = {
-        "schema": "freerider-bench/1",
-        "git_sha": "selftest-old",
-        "kernels": {
-            "wifi/rx_1000B": {"median_ns": 1_000_000},
-            "lint/workspace_scan": {"median_ns": 100_000_000},
-        },
-        "stages": {
-            "wifi.rx": {"p50_ns": 900_000, "count": 10},
-            "wifi.rx/decode/viterbi": {"p50_ns": 400_000, "count": 10},
-        },
-        "experiments": {"fig10": {"wall_s": 1.0}},
-    }
-    clean = json.loads(json.dumps(base))
-    clean["git_sha"] = "selftest-new"
-    code, _ = diff(base, clean, 50.0, warn_only=False)
-    if code != 0:
-        print("bench_diff selftest: FAIL -- identical baselines flagged as regression")
-        return 1
+    """Both gates gate, on synthetic documents."""
 
-    regressed = json.loads(json.dumps(clean))
-    regressed["stages"]["wifi.rx/decode/viterbi"]["p50_ns"] = 1_000_000  # +150%
-    code, lines = diff(base, regressed, 50.0, warn_only=False)
-    if code != 1:
-        print("bench_diff selftest: FAIL -- injected stage regression not caught")
-        return 1
-    if not any("stage wifi.rx/decode/viterbi" in l and "REGRESSION" in l for l in lines):
-        print("bench_diff selftest: FAIL -- regression caught but not attributed to the stage row")
-        return 1
+    def doc(fft, viterbi, extra=None):
+        d = {
+            "schema": "freerider-bench/1",
+            "kernels": {"dsp/fft64_planned": {"median_ns": fft}},
+            "stages": {"wifi.rx/decode/viterbi": {"p50_ns": viterbi, "count": 10}},
+            "experiments": {"fig10": {"wall_s": 1.0}},
+        }
+        if extra:
+            d["kernels"][extra] = {"median_ns": 5}
+        return d
 
-    # An injected regression must still fail under --warn-only: stage rows
-    # are hard, only experiment rows are downgradable.
-    code, _ = diff(base, regressed, 50.0, warn_only=True)
-    if code != 1:
-        print("bench_diff selftest: FAIL -- --warn-only must not soften stage rows")
-        return 1
+    # Ten paired runs with a base spread of about 4% (IQR 22.5 ns on 500).
+    jitter = [0, 20, -10, 15, -20, 5, 10, -15, 25, -5]
+    base = [doc(500 + j, 1000 + j) for j in jitter]
+    rotated = jitter[3:] + jitter[:3]
 
-    # Experiment rows, by contrast, do soften.
-    slow_exp = json.loads(json.dumps(clean))
-    slow_exp["experiments"]["fig10"]["wall_s"] = 5.0
-    code, _ = diff(base, slow_exp, 50.0, warn_only=True)
-    if code != 0:
-        print("bench_diff selftest: FAIL -- --warn-only must downgrade experiment rows")
-        return 1
+    cases = [
+        # (what, tree runs, rows that must fail)
+        ("an A/A set", [doc(500 + j, 1000 + j) for j in rotated], []),
+        ("a row 20% slower in 10 of 10 pairs",
+         [doc(600 + j, 1000 + j) for j in jitter], ["kernel dsp/fft64_planned"]),
+        ("a row slower in 10 of 10 pairs by less than the IQR",
+         [doc(510 + j, 1000 + j) for j in jitter], []),
+        ("a row 20% slower in only 8 of 10 pairs",
+         [doc(600 + j if i < 8 else 400, 1000 + j) for i, j in enumerate(jitter)], []),
+        ("a faster tree", [doc(400 + j, 800 + j) for j in jitter], []),
+    ]
+    for what, tree, want in cases:
+        failing, lines = verdict(base, tree)
+        if failing != want:
+            print(f"bench_diff selftest: FAIL -- {what}: failing rows {failing},"
+                  f" want {want}\n" + "\n".join(lines))
+            return 1
+        if want and not any(want[0] in l and "SLOWER" in l for l in lines):
+            print(f"bench_diff selftest: FAIL -- {what}: row not named")
+            return 1
 
-    # The analyzer wall-clock row softens too (not a product hot path)...
-    slow_lint = json.loads(json.dumps(clean))
-    slow_lint["kernels"]["lint/workspace_scan"]["median_ns"] = 500_000_000  # +400%
-    code, _ = diff(base, slow_lint, 50.0, warn_only=True)
-    if code != 0:
-        print("bench_diff selftest: FAIL -- --warn-only must downgrade lint/ kernel rows")
-        return 1
-    # ...but still fails a strict (no --warn-only) run.
-    code, _ = diff(base, slow_lint, 50.0, warn_only=False)
-    if code != 1:
-        print("bench_diff selftest: FAIL -- strict run must gate lint/ kernel rows")
+    # A row on one side only is listed and not gated.
+    failing, lines = verdict(base, [doc(500 + j, 1000 + j, "new/row") for j in jitter])
+    if failing or not any("kernel new/row" in l and "tree only" in l for l in lines):
+        print("bench_diff selftest: FAIL -- a one-sided row was gated or not listed")
         return 1
 
     # --assert-lanes: a document whose selected widths win their sweeps
@@ -231,7 +225,6 @@ def selftest():
     # the noise slack both fail.
     lanes_doc = {
         "schema": "freerider-bench/1",
-        "git_sha": "selftest-lanes",
         "kernels": {
             "coding/viterbi/lanes_1": {"median_ns": 45_000},
             "coding/viterbi/lanes_2": {"median_ns": 40_000},
@@ -283,16 +276,17 @@ def selftest():
         print("bench_diff selftest: FAIL -- within-slack selected width flagged")
         return 1
 
-    # A misspelt flag is a usage error, not a silently strict run.
+    # A misspelt flag is a usage error, not a silently skipped audit.
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["--warn_only", "old.json", "new.json"])
+        code = main(["--assert_lanes", "doc.json"])
     if code != 2 or USAGE not in err.getvalue():
-        print("bench_diff selftest: FAIL -- unknown flag --warn_only not rejected")
+        print("bench_diff selftest: FAIL -- unknown flag --assert_lanes not rejected")
         return 1
 
-    print("bench_diff selftest: OK (stage regression gated, warn-only semantics"
-          " hold, lane assertions gate, unknown flags rejected)")
+    print("bench_diff selftest: OK (the pair verdict fails only a consistent"
+          " slowdown beyond the IQR, lane assertions gate, unknown flags"
+          " rejected)")
     return 0
 
 
@@ -304,24 +298,12 @@ def main(argv):
     if "--selftest" in argv:
         return selftest()
     args = [a for a in argv if not a.startswith("--")]
-    if "--assert-lanes" in argv:
-        if len(args) != 1:
-            sys.exit("bench_diff: --assert-lanes takes exactly one JSON document")
-        slack = float(os.environ.get("FREERIDER_LANE_SLACK", "10"))
-        code, lines = assert_lanes(load(args[0]), slack)
-        print("\n".join(lines))
-        return code
-    warn_only = "--warn-only" in argv
-    if len(args) != 2:
-        sys.exit(__doc__.strip())
-    old_path, new_path = args
-    threshold = float(os.environ.get("FREERIDER_BENCH_THRESHOLD", "50"))
-
-    if not os.path.exists(old_path):
-        print(f"bench_diff: no baseline at {old_path} (first run), nothing to diff")
-        return 0
-    old, new = load(old_path), load(new_path)
-    code, lines = diff(old, new, threshold, warn_only)
+    if "--assert-lanes" not in argv or len(args) != 1:
+        print(f"bench_diff: expected --assert-lanes <doc.json> or --selftest\n{USAGE}",
+              file=sys.stderr)
+        return 2
+    slack = float(os.environ.get("FREERIDER_LANE_SLACK", "10"))
+    code, lines = assert_lanes(load(args[0]), slack)
     print("\n".join(lines))
     return code
 

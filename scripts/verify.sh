@@ -157,7 +157,7 @@ print(f"profile OK: {len(stages)} stages, {work_total} work units, "
       f"tree invariant holds, {len(span_names)} trace stage names match")
 EOF
 
-echo "==> bench_diff selftest (per-stage regression gate gates)"
+echo "==> bench_diff selftest (the pair verdict and the lane audit gate)"
 python3 scripts/bench_diff.py --selftest
 
 echo "==> lane sweep smoke (widths 1/2/4/8 present, defaults are measured winners)"
@@ -180,6 +180,9 @@ EOF
 
 echo "==> fft64/ifft64 bit-identical to the direct transform (release profile)"
 cargo test --release --offline -q -p freerider-dsp specialized_64_path_is_bit_identical
+
+echo "==> goldens without target-cpu=native (an empty RUSTFLAGS drops .cargo/config.toml's)"
+RUSTFLAGS= CARGO_TARGET_DIR=target/generic cargo test --release --offline -q --test baselines
 
 echo "==> freerider-serve smoke (ephemeral port, streamed job, clean shutdown)"
 SERVE_LOG=/tmp/freerider_serve_smoke.log
@@ -318,12 +321,11 @@ print(f"coexist-fig16 OK: {n} ops bit-identical, {len(a)} serial vs {len(b)} def
       f"warm-up digest {docs[1]['warmup_digest']}")
 EOF
 
-echo "==> bench baseline (diff vs benchmarks/latest.json)"
-# Full mode, not --quick: the committed baseline is a full run, and the
-# kernel rows of bench_diff fail hard, so the comparison must be
-# like-for-like. --warn-only downgrades only the experiment wall-clock
-# rows, which are scheduling-noise-dominated on shared machines.
-./target/release/bench-baseline --out /tmp/freerider_bench_new.json >/dev/null
-python3 scripts/bench_diff.py --warn-only benchmarks/latest.json /tmp/freerider_bench_new.json
+echo "==> same-host bench gate (bench-baseline at HEAD vs this tree, 10 alternating pairs)"
+# HEAD is built from a git archive export under target/ab/ and run
+# alternately with this tree's build. A row fails only when the tree is
+# slower in at least 9 of 10 pairs by more than HEAD's own spread; on a
+# clean tree this is an A/A check.
+python3 scripts/ab.py HEAD bench-baseline
 
 echo "verify: OK"

@@ -34,8 +34,8 @@ fn one_tag_design_rides_all_three_radios() {
 }
 
 #[test]
-fn receive_all_separates_tagged_back_to_back_packets() {
-    use freerider::wifi::{Mpdu, Receiver, RxConfig, Transmitter, TxConfig};
+fn receive_with_separates_tagged_back_to_back_packets() {
+    use freerider::wifi::{Mpdu, Receiver, RxConfig, RxScratch, Transmitter, TxConfig};
     let mut rng = Rng64::new(55);
     let tx = Transmitter::new(TxConfig::default());
     let translator = PhaseTranslator::wifi_binary();
@@ -62,14 +62,18 @@ fn receive_all_separates_tagged_back_to_back_packets() {
         buf.extend(ch.propagate_padded(&tagged, 250));
     }
 
-    let pkts = rx.receive_all(&buf);
-    assert_eq!(pkts.len(), 3, "all three tagged packets found");
-    for (i, p) in pkts.iter().enumerate() {
+    // Scan on from the end of each packet found.
+    let mut scratch = RxScratch::new();
+    let (mut cursor, mut found) = (0, 0);
+    while let Ok(p) = rx.receive_with(&buf[cursor..], &mut scratch) {
         // Tag modification breaks the FCS by design…
-        assert!(!p.fcs_valid, "packet {i}");
+        assert!(!p.fcs_valid, "packet {found}");
         // …but the payload bytes of the header region still identify it.
         assert_eq!(p.signal.length, 150 + 28);
+        cursor += p.end;
+        found += 1;
     }
+    assert_eq!(found, 3, "all three tagged packets found");
 }
 
 #[test]
