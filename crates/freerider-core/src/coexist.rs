@@ -121,10 +121,14 @@ pub fn backscatter_coexistence(
 /// parallel, each on its own derived stream, and both CDFs are assembled
 /// in window order (bit-identical for any worker count).
 ///
-/// Each window's packets run their two legs as [`WifiLink::run_with`]
-/// does, on the environment's executor: on two cores when the windows run
-/// on the caller's thread (one window, or a serial `executor`), one after
-/// the other inside `executor`'s workers.
+/// A window id's absent and present windows share their seed, so they
+/// share every packet's excitation, receiver-1 decode, tag and
+/// backscatter channel: one link run computes those once and has
+/// receiver 2 decode each packet twice, clean and with the interferer
+/// added. Each run's packets run their two legs as
+/// [`WifiLink::run_with`] does, on the environment's executor: on two
+/// cores when the windows run on the caller's thread (one window, or a
+/// serial `executor`), one after the other inside `executor`'s workers.
 pub fn backscatter_coexistence_on(
     executor: Executor,
     tech: CoexistTech,
@@ -135,13 +139,8 @@ pub fn backscatter_coexistence_on(
     let window_ids: Vec<u64> = (0..windows as u64).collect();
     let legs = Executor::from_env();
     let pairs = executor.map(&window_ids, |_, &w| {
-        let s = derive_seed(seed, w);
-        let leak = interferer_leak_dbm(tech);
-        let window = |leak_dbm| coexist_window(tech, packets_per_window, leak_dbm, s, legs);
-        (
-            window(None).throughput_bps(),
-            window(Some(leak)).throughput_bps(),
-        )
+        let (absent, present) = window_pair(tech, packets_per_window, derive_seed(seed, w), legs);
+        (absent.throughput_bps(), present.throughput_bps())
     });
     let mut absent = Cdf::new();
     let mut present = Cdf::new();
@@ -201,26 +200,29 @@ pub fn backscatter_with_rts_cts_on(
 /// One RTS/CTS-protected window: reservation means the interferer never
 /// overlaps our packets; its price is airtime.
 fn rts_cts_window(tech: CoexistTech, packets: usize, seed: u64, legs: Executor) -> LinkStats {
-    let mut stats = coexist_window(tech, packets, None, seed, legs);
+    let (mut stats, _) = coexist_run(tech, window_config(tech, packets, seed), None, legs);
     stats.airtime_s += packets as f64 * RTS_CTS_OVERHEAD_S;
     stats
 }
 
-/// One measurement window: `tech`'s standard link 2 m from the receiver
-/// on a flat channel, with the interferer at receiver 2 when
-/// `interferer_leak_dbm` is set, and each packet's two legs on `legs`
-/// (the same bits on any executor). Its throughput is
-/// [`LinkStats::throughput_bps`]. A WiFi window decodes into the thread's
-/// receive arenas, so a Fig. 16 run does not build and page in two fresh
-/// arenas for every window or every call.
-fn coexist_window(
+/// One window id's absent and present windows: `(absent, present)`.
+fn window_pair(
     tech: CoexistTech,
     packets: usize,
-    interferer_leak_dbm: Option<f64>,
     seed: u64,
     legs: Executor,
-) -> LinkStats {
-    let cfg = LinkConfig {
+) -> (LinkStats, LinkStats) {
+    let cfg = window_config(tech, packets, seed);
+    let (absent, present) = coexist_run(tech, cfg, Some(interferer_leak_dbm(tech)), legs);
+    // lint: allow(panic) — run_link decodes with the interferer whenever it is given one
+    (absent, present.expect("a run with an interferer"))
+}
+
+/// A measurement window's link: `tech`'s standard link 2 m from the
+/// receiver on a flat channel. The window's sample is its run's
+/// [`LinkStats::throughput_bps`].
+fn window_config(tech: CoexistTech, packets: usize, seed: u64) -> LinkConfig {
+    LinkConfig {
         payload_len: match tech {
             CoexistTech::Wifi => 1000,
             CoexistTech::Zigbee => 100,
@@ -229,7 +231,21 @@ fn coexist_window(
         packets,
         fading: Fading::None,
         ..LinkConfig::new(tech.los_budget(), 2.0, seed)
-    };
+    }
+}
+
+/// Runs `cfg` on `tech`'s link with each packet's two legs on `legs` (the
+/// same bits on any executor): the clean window's statistics and, when
+/// `interferer_leak_dbm` is set, those of the same packets with the
+/// interferer at receiver 2 (see [`run_link`]). A WiFi run decodes into
+/// the thread's receive arenas, so a Fig. 16 run does not build and page
+/// in two fresh arenas for every window or every call.
+fn coexist_run(
+    tech: CoexistTech,
+    cfg: LinkConfig,
+    interferer_leak_dbm: Option<f64>,
+    legs: Executor,
+) -> (LinkStats, Option<LinkStats>) {
     // File-transfer traffic is bursty: most measurement windows see
     // little of it, some are hammered — which is exactly how Fig. 16(a)
     // keeps its median while growing a 10 % tail.
@@ -239,7 +255,7 @@ fn coexist_window(
             0.0,
             0.18,
             12_000,
-            derive_seed(seed, stream::INTERFERER),
+            derive_seed(cfg.seed, stream::INTERFERER),
         )
     });
     let draws = Draws::PerByte;
@@ -273,43 +289,172 @@ fn coexist_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::stat_bits;
+    use crate::link::{profiler_switch, stat_bits};
 
     const TECHS: [CoexistTech; 3] = [CoexistTech::Wifi, CoexistTech::Zigbee, CoexistTech::Ble];
 
+    /// Per technology: a receiver-1 noise floor at which the excitation
+    /// of a Fig. 16 window (heard at −45 dBm) decodes on some packets and
+    /// not others, and a seed whose 3-packet window loses its middle
+    /// reference packet.
+    const REJECTING: [(CoexistTech, f64, u64); 3] = [
+        (CoexistTech::Wifi, -45.5, 40),
+        (CoexistTech::Zigbee, -42.5, 0),
+        (CoexistTech::Ble, -42.0, 3),
+    ];
+
+    /// A Fig. 16 window of `packets` on `REJECTING`'s floor and seed, its
+    /// transmitter 38 dB hotter so the backscatter leg stays strong, with
+    /// an interferer 6 dB under the backscatter signal.
+    fn rejecting_window(
+        (tech, floor, seed): (CoexistTech, f64, u64),
+        packets: usize,
+    ) -> (LinkConfig, f64) {
+        let mut cfg = window_config(tech, packets, seed);
+        cfg.budget.noise_floor_dbm = floor;
+        cfg.budget.tx_power_dbm += 38.0;
+        let leak = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m) - 6.0;
+        (cfg, leak)
+    }
+
+    /// The statistics of a window pair on `cfg`, clean then interfered, as
+    /// bits.
+    fn pair_bits(tech: CoexistTech, cfg: LinkConfig, leak: f64, legs: Executor) -> [[u64; 9]; 2] {
+        let (clean, interfered) = coexist_run(tech, cfg, Some(leak), legs);
+        let interfered = interfered.expect("a run with an interferer");
+        [stat_bits(&clean), stat_bits(&interfered)]
+    }
+
     #[test]
-    fn window_legs_are_bit_identical_on_two_threads() {
-        // Absent, present with the interferer, and RTS/CTS-protected:
-        // each window's statistics are the same bits with its packets'
-        // legs serial and on two threads.
-        for tech in TECHS {
-            for w in 0..2 {
-                let s = derive_seed(13, w);
-                let leak = Some(interferer_leak_dbm(tech));
-                let windows = |legs| {
-                    [
-                        coexist_window(tech, 2, None, s, legs),
-                        coexist_window(tech, 2, leak, s, legs),
-                        rts_cts_window(tech, 2, s, legs),
-                    ]
-                    .map(|stats| stat_bits(&stats))
+    fn window_pairs_are_bit_identical_on_two_threads() {
+        // A Fig. 16 pair, the RTS/CTS window and a pair whose reference
+        // legs sometimes fail, with 0 to 3 packets: each is the same bits
+        // with its packets' legs serial and on two threads. After a
+        // rejected packet the interferer's bursts come from the state the
+        // serial program holds only if the helper rolled it back.
+        for rejecting in REJECTING {
+            let tech = rejecting.0;
+            for packets in 0..=3 {
+                let s = derive_seed(13, packets as u64);
+                let leak = interferer_leak_dbm(tech);
+                let (marginal, marginal_leak) = rejecting_window(rejecting, packets);
+                let runs = |legs| {
+                    (
+                        pair_bits(tech, window_config(tech, packets, s), leak, legs),
+                        pair_bits(tech, marginal.clone(), marginal_leak, legs),
+                        stat_bits(&rts_cts_window(tech, packets, s, legs)),
+                    )
                 };
-                let serial = windows(Executor::serial());
-                assert_eq!(serial, windows(Executor::new(2)), "{tech:?} window {w}");
-                assert!(serial[0][1] > 0, "{tech:?} window {w} decoded nothing");
+                let serial = runs(Executor::serial());
+                let _pipelined = profiler_switch().read().unwrap_or_else(|p| p.into_inner());
+                assert_eq!(
+                    serial,
+                    runs(Executor::new(2)),
+                    "{tech:?}, {packets} packets"
+                );
+                assert_eq!(
+                    serial.0[0][1], packets as u64,
+                    "{tech:?} lost a clean packet"
+                );
             }
         }
     }
 
+    /// Per technology, window 1 of seed 14 with 1 and 3 packets, then
+    /// `REJECTING`'s 3-packet window: the absent and present windows' bits
+    /// when each ran its own excitation leg.
+    #[rustfmt::skip]
+    const PAIR_GOLDENS: [(CoexistTech, [[[u64; 9]; 2]; 3]); 3] = [
+        (CoexistTech::Wifi, [
+            [[1, 1, 1, 85, 85, 85, 0xc0519288f762c6f3, 0xc051960c70c2b0bb, 0x3f56df3f961804da], [1, 0, 1, 85, 0, 0, 0xc0519288f762c6f3, 0x7ff8000000000000, 0x3f56df3f961804da]],
+            [[3, 3, 3, 255, 255, 255, 0xc0519288f762c6f3, 0xc0519696f1342a1a, 0x3f71276fb09203a4], [3, 2, 3, 255, 170, 102, 0xc0519288f762c6f3, 0xc0511a96bd5e86ee, 0x3f71276fb09203a4]],
+            [[3, 2, 0, 170, 170, 170, 0xc0402511eec58de6, 0xc0401377523fe05a, 0x3f71276fb09203a4], [3, 2, 0, 170, 170, 170, 0xc0402511eec58de6, 0xc03fa30a9e12231d, 0x3f71276fb09203a4]],
+        ]),
+        (CoexistTech::Zigbee, [
+            [[1, 1, 1, 51, 51, 51, 0xc0532f6f145bb62a, 0xc053545446aa9d66, 0x3f6c50ce4ead0c3d], [1, 1, 1, 51, 51, 51, 0xc0532f6f145bb62a, 0xc0532771d757487f, 0x3f6c50ce4ead0c3d]],
+            [[3, 3, 3, 153, 153, 153, 0xc0532f6f145bb62a, 0xc05354ce0169ca0d, 0x3f853c9abb01c92e], [3, 3, 3, 153, 153, 153, 0xc0532f6f145bb62a, 0xc053390e68ef8c97, 0x3f853c9abb01c92e]],
+            [[3, 2, 2, 102, 102, 102, 0xc0435ede28b76c54, 0xc0429d2f4eadbaac, 0x3f853c9abb01c92e], [3, 2, 2, 102, 102, 102, 0xc0435ede28b76c54, 0xc0427067498c9794, 0x3f853c9abb01c92e]],
+        ]),
+        (CoexistTech::Ble, [
+            [[1, 1, 1, 20, 20, 20, 0xc054a93b4e4d9498, 0xc054a9afe3f3eff7, 0x3f38a43bb40b34e7], [1, 1, 1, 20, 20, 20, 0xc054a93b4e4d9498, 0xc0547c79d2d28c64, 0x3f38a43bb40b34e7]],
+            [[3, 3, 3, 60, 60, 60, 0xc054a93b4e4d9498, 0xc054aa2f2babf13f, 0x3f527b2cc70867ad], [3, 3, 3, 60, 60, 60, 0xc054a93b4e4d9498, 0xc05485041aa6657e, 0x3f527b2cc70867ad]],
+            [[3, 2, 0, 40, 38, 37, 0xc04652769c9b2930, 0xc0443268d826bb0a, 0x3f527b2cc70867ad], [3, 2, 0, 40, 38, 37, 0xc04652769c9b2930, 0xc0441273cd44b121, 0x3f527b2cc70867ad]],
+        ]),
+    ];
+
+    #[test]
+    fn window_pairs_match_their_goldens() {
+        for (rejecting, (tech, golden)) in REJECTING.into_iter().zip(PAIR_GOLDENS) {
+            assert_eq!(tech, rejecting.0);
+            let serial = Executor::serial();
+            let leak = interferer_leak_dbm(tech);
+            let window = |packets| window_config(tech, packets, derive_seed(14, 1));
+            let (marginal, marginal_leak) = rejecting_window(rejecting, 3);
+            let actual = [
+                pair_bits(tech, window(1), leak, serial),
+                pair_bits(tech, window(3), leak, serial),
+                pair_bits(tech, marginal, marginal_leak, serial),
+            ];
+            assert_eq!(actual, golden, "{tech:?}");
+
+            // The rejecting window's middle reference packet carries no
+            // tag bits, and its first and last do.
+            let sent = |packets| {
+                let (cfg, leak) = rejecting_window(rejecting, packets);
+                pair_bits(tech, cfg, leak, serial)[0][3]
+            };
+            let [one, two, three] = [1, 2, 3].map(sent);
+            assert!(
+                0 < one && one == two && two < three,
+                "{tech:?}: {one} {two} {three}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_window_pair_runs_one_excitation_leg() {
+        use freerider_telemetry::{profile, stage};
+        // With the profiler on, the pipeline runs on this thread, so every
+        // stage of the call nests under this test's root.
+        const ROOT: &str = "coexist.tests.pair";
+        let count = |leaf: &str| -> u64 {
+            profile::report()
+                .iter()
+                .filter(|(path, _)| {
+                    path.strip_prefix(ROOT).and_then(|p| p.strip_prefix('/')) == Some(leaf)
+                })
+                .map(|(_, stat)| stat.count)
+                .sum()
+        };
+        let _profiled = profiler_switch().write().unwrap_or_else(|p| p.into_inner());
+        let was = profile::enabled();
+        profile::set_enabled(true);
+        for (tech, rx) in TECHS.into_iter().zip(["wifi.rx", "zigbee.rx", "ble.rx"]) {
+            let before = (count("channel.propagate"), count(rx));
+            {
+                let _root = stage(ROOT);
+                backscatter_coexistence_on(Executor::serial(), tech, 1, 3, 11);
+            }
+            let after = (count("channel.propagate"), count(rx));
+            // Per packet, receiver 1's channel and the backscatter channel
+            // once each; receiver 1 decodes once, receiver 2 twice.
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                (2 * 3, 3 * 3),
+                "{tech:?}"
+            );
+        }
+        profile::set_enabled(was);
+    }
+
     #[test]
     fn thread_arenas_carry_nothing_between_runs() {
-        // A WiFi window, then a quaternary link of shorter QPSK packets
-        // that reshapes both of the thread's arenas, then the window
-        // again: the arenas are scratch, so the window's bits hold.
-        let leak = Some(interferer_leak_dbm(CoexistTech::Wifi));
+        // A WiFi window pair, then a quaternary link of shorter QPSK
+        // packets that reshapes both of the thread's arenas, then the
+        // pair again: the arenas are scratch, so the pair's bits hold.
         let window = || {
-            let stats = coexist_window(CoexistTech::Wifi, 2, leak, 21, Executor::serial());
-            stat_bits(&stats)
+            let (absent, present) = window_pair(CoexistTech::Wifi, 2, 21, Executor::serial());
+            [stat_bits(&absent), stat_bits(&present)]
         };
         let cold = window();
         let cfg = LinkConfig {

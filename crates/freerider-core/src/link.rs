@@ -160,24 +160,37 @@ pub(crate) trait Phy: Sync {
     fn decode(&self, original: &Self::Rx<'_>, backscattered: &Self::Back) -> Vec<u8>;
 }
 
+/// Receiver 2's packet, owned, or the label of its failure.
+type Decoded<B> = Result<B, &'static str>;
+
 /// One packet's receiver-2 leg as it crosses between [`run_link`]'s two
-/// stages: the tag's waveform, and receiver 2's packet once decoded. Its
-/// buffers come back with the result and carry a later packet.
+/// stages: the tag's waveform, and receiver 2's packet once decoded, clean
+/// and, when the run carries an interferer, interfered. Its buffers come
+/// back with the result and carry a later packet.
 struct BackLeg<B> {
     tagged: Vec<Complex>,
-    packet: Result<B, &'static str>,
+    clean: Decoded<B>,
+    interfered: Option<Decoded<B>>,
 }
 
 /// The backscatter packet loop of Fig. 1, for every PHY: `packets`
 /// excitation packets through receiver 1, the tag, the backscatter channel
-/// (plus `interferer`, if any, at receiver 2) and receiver 2, then the XOR
-/// decode.
+/// and receiver 2, then the XOR decode.
+///
+/// Returns the statistics of receiver 2's clean decodes and, when the run
+/// carries an `interferer`, those of a second decode of each packet with
+/// the interferer added: the two windows of a Fig. 16 pair from one
+/// excitation leg. Both share the airtime, the productive frames and the
+/// tag bits sent; each has its own decoded packets, compared and correct
+/// tag bits and measured RSSI.
 ///
 /// Receiver 2's side runs as the second stage of an
 /// [`Executor::pipeline`]: for the whole run, the stage owns the
 /// backscatter channel, the interferer, receiver 2's scratch and its
 /// receive buffer, and turns each packet's tagged waveform into receiver
-/// 2's packet. The caller runs the excitation TX, the tag and receiver 1.
+/// 2's packet. With an interferer, it then adds the interferer in place to
+/// the samples it just decoded (the clean packet is already owned) and
+/// decodes again. The caller runs the excitation TX, the tag and receiver 1.
 /// As soon as receiver 1 decides whether the packet counts, the caller
 /// commits the payload RNG and makes the next packet (its TX, tag-bit
 /// draws and translation), so that work overlaps this packet's receiver-2
@@ -195,7 +208,7 @@ pub(crate) fn run_link<P: Phy>(
     interferer: Option<Interferer>,
     exec: Executor,
     [reference, backscatter]: &mut [P::Scratch; 2],
-) -> LinkStats {
+) -> (LinkStats, Option<LinkStats>) {
     let cfg = phy.config();
     let mut rng = Rng64::derive(cfg.seed, stream::PAYLOAD);
     let rssi = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m);
@@ -218,36 +231,44 @@ pub(crate) fn run_link<P: Phy>(
     }
 
     let mut stats = LinkStats::new(rssi);
+    let mut interfered_stats = interferer.is_some().then(|| LinkStats::new(rssi));
     if !cfg.budget.tag_operational(cfg.d_tx_tag_m) {
         // The excitation cannot power the tag's front end (§4.3's
         // TX-to-tag bound): nothing is backscattered at all.
-        return stats;
+        return (stats, interfered_stats);
     }
     let payload_len = cfg.payload_len.min(P::MAX_PAYLOAD);
     let mut heard_back = Vec::new();
-    let receiver_2 = |(channel, interferer): &mut (Channel, Option<Interferer>),
-                      (tagged, spare): (Vec<Complex>, Option<P::Back>)| {
-        channel.propagate_padded_into(&tagged, P::PAD, &mut heard_back);
-        if let Some(i) = interferer.as_mut() {
-            i.add_to(&mut heard_back);
-        }
-        let packet = phy.receive(Leg::Backscatter, &heard_back, backscatter);
-        BackLeg {
-            tagged,
-            packet: packet.map(|rx| phy.own(rx, spare)),
-        }
-    };
+    let receiver_2 =
+        |(channel, interferer): &mut (Channel, Option<Interferer>),
+         (tagged, [spare, interfered_spare]): (Vec<Complex>, [Option<P::Back>; 2])| {
+            channel.propagate_padded_into(&tagged, P::PAD, &mut heard_back);
+            let mut decode = |heard: &[Complex], spare| {
+                let packet = phy.receive(Leg::Backscatter, heard, backscatter);
+                packet.map(|rx| phy.own(rx, spare))
+            };
+            let clean = decode(&heard_back, spare);
+            let interfered = interferer.as_mut().map(|i| {
+                i.add_to(&mut heard_back);
+                decode(&heard_back, interfered_spare)
+            });
+            BackLeg {
+                tagged,
+                clean,
+                interfered,
+            }
+        };
     // Transmits the next packet and readies its receiver-2 leg: the tag
     // bits come from a clone of the payload RNG, returned for the caller
     // to commit, and the tag translates into `tagged` for the pipeline.
     let next_packet =
-        |rng: &mut Rng64, mut tagged: Vec<Complex>, spare, pipe: &mut Pipeline<'_, _, _, _>| {
+        |rng: &mut Rng64, mut tagged: Vec<Complex>, spares, pipe: &mut Pipeline<'_, _, _, _>| {
             let wave = phy.transmit(draws, payload_len, rng);
             let mut tagging = rng.clone();
             let tag_bits = tagging.bits(phy.capacity(wave.len()));
             let consumed = phy.translate(&wave, &tag_bits, &mut tagged);
             debug_assert_eq!(consumed, tag_bits.len());
-            pipe.push((tagged, spare));
+            pipe.push((tagged, spares));
             (wave, tagging, tag_bits)
         };
     exec.pipeline((back_channel, interferer), receiver_2, |pipe| {
@@ -255,7 +276,7 @@ pub(crate) fn run_link<P: Phy>(
         // receiver 1 hears and then the next packet's tagged waveform,
         // while receiver 2's stage works on the other.
         let mut heard_ref = Vec::new();
-        let mut spare = None;
+        let mut spares = Default::default();
         let mut next = None;
         for i in 0..cfg.packets {
             // One flight-recorder scope per excitation packet; the id is
@@ -263,7 +284,7 @@ pub(crate) fn run_link<P: Phy>(
             let _pkt = trace::packet(P::SCOPE, derive_seed(cfg.seed, i as u64));
             let (wave, tagging, tag_bits) = next
                 .take()
-                .unwrap_or_else(|| next_packet(&mut rng, Vec::new(), None, pipe));
+                .unwrap_or_else(|| next_packet(&mut rng, Vec::new(), Default::default(), pipe));
             stats.add_airtime(wave.len() as f64 / P::SAMPLE_RATE);
 
             ref_channel.propagate_into(&wave, &mut heard_ref);
@@ -285,14 +306,23 @@ pub(crate) fn run_link<P: Phy>(
             }
             if i + 1 < cfg.packets {
                 let buffer = std::mem::take(&mut heard_ref);
-                next = Some(next_packet(&mut rng, buffer, spare.take(), pipe));
+                next = Some(next_packet(
+                    &mut rng,
+                    buffer,
+                    std::mem::take(&mut spares),
+                    pipe,
+                ));
             }
-            let (Ok(original), Some(BackLeg { tagged, packet })) = (ref_rx, pipe.pop()) else {
+            let (Ok(original), Some(leg)) = (ref_rx, pipe.pop()) else {
                 continue;
             };
+            let BackLeg {
+                tagged,
+                clean,
+                interfered,
+            } = leg;
             heard_ref = tagged;
-            stats.note_sent(tag_bits.len());
-            match &packet {
+            let note = |stats: &mut LinkStats, packet: &Decoded<P::Back>| match packet {
                 Ok(back) => {
                     stats.note_measured_rssi(P::rssi_dbm(back));
                     stats.note_decoded(&tag_bits, &phy.decode(&original, back));
@@ -301,11 +331,23 @@ pub(crate) fn run_link<P: Phy>(
                     trace::fail(label);
                     stats.note_lost();
                 }
+            };
+            stats.note_sent(tag_bits.len());
+            note(&mut stats, &clean);
+            if let (Some(s), Some(packet)) = (&mut interfered_stats, &interfered) {
+                note(s, packet);
             }
-            spare = packet.ok();
+            spares = [clean.ok(), interfered.and_then(Result::ok)];
         }
     });
-    stats
+    // The interfered decodes ride on the clean run's packets.
+    if let Some(s) = &mut interfered_stats {
+        s.packets_sent = stats.packets_sent;
+        s.productive_ok = stats.productive_ok;
+        s.tag_bits_sent = stats.tag_bits_sent;
+        s.airtime_s = stats.airtime_s;
+    }
+    (stats, interfered_stats)
 }
 
 /// A link's radios for one run: receivers 1 and 2, indexed by [`Leg`].
@@ -434,7 +476,7 @@ impl WifiLink {
     /// either way.
     pub fn run_with(&self, scratch: &mut WifiLinkScratch) -> LinkStats {
         let exec = Executor::from_env();
-        run_link(&self.radios(), Draws::Packed, None, exec, &mut scratch.0)
+        run_link(&self.radios(), Draws::Packed, None, exec, &mut scratch.0).0
     }
 
     /// The link's radios for one run.
@@ -574,7 +616,7 @@ impl ZigbeeLink {
     /// [`WifiLink::run_with`].
     pub fn run(&self) -> LinkStats {
         let exec = Executor::from_env();
-        run_link(&self.radios(), Draws::Packed, None, exec, &mut [(), ()])
+        run_link(&self.radios(), Draws::Packed, None, exec, &mut [(), ()]).0
     }
 
     /// The link's radios for one run.
@@ -684,7 +726,7 @@ impl BleLink {
     /// [`WifiLink::run_with`].
     pub fn run(&self) -> LinkStats {
         let exec = Executor::from_env();
-        run_link(&self.radios(), Draws::Packed, None, exec, &mut [(), ()])
+        run_link(&self.radios(), Draws::Packed, None, exec, &mut [(), ()]).0
     }
 
     /// The link's radios for one run.
@@ -783,6 +825,15 @@ pub(crate) fn stat_bits(s: &LinkStats) -> [u64; 9] {
     ]
 }
 
+/// Held for reading by tests that compare a pipelined run with the serial
+/// one, and for writing by a test that turns the profiler on, which makes
+/// every pipeline in the process run serially.
+#[cfg(test)]
+pub(crate) fn profiler_switch() -> &'static std::sync::RwLock<()> {
+    static SWITCH: std::sync::RwLock<()> = std::sync::RwLock::new(());
+    &SWITCH
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,12 +881,13 @@ mod tests {
     }
 
     /// Runs `phy` serially and with its two legs on two threads; the
-    /// statistics must be the same bits.
+    /// statistics, clean and interfered, must be the same bits.
     fn serial_and_concurrent<P: Phy>(
         phy: &P,
         draws: Draws,
         interferer: Option<Interferer>,
-    ) -> LinkStats {
+    ) -> (LinkStats, Option<LinkStats>) {
+        let _pipelined = profiler_switch().read().unwrap_or_else(|p| p.into_inner());
         let mut scratch = Default::default();
         let serial = run_link(
             phy,
@@ -845,9 +897,12 @@ mod tests {
             &mut scratch,
         );
         let concurrent = run_link(phy, draws, interferer, Executor::new(2), &mut scratch);
+        let bits = |(clean, interfered): &(LinkStats, Option<LinkStats>)| {
+            (stat_bits(clean), interfered.as_ref().map(stat_bits))
+        };
         assert_eq!(
-            stat_bits(&serial),
-            stat_bits(&concurrent),
+            bits(&serial),
+            bits(&concurrent),
             "seed {}: {serial:?} vs {concurrent:?}",
             phy.config().seed
         );
@@ -856,7 +911,7 @@ mod tests {
 
     /// [`serial_and_concurrent`] for a link's own run.
     fn both(phy: &impl Phy) -> LinkStats {
-        serial_and_concurrent(phy, Draws::Packed, None)
+        serial_and_concurrent(phy, Draws::Packed, None).0
     }
 
     #[test]
@@ -880,7 +935,7 @@ mod tests {
         cfg: LinkConfig,
         draws: Draws,
         interferer: Option<Interferer>,
-    ) -> LinkStats {
+    ) -> (LinkStats, Option<LinkStats>) {
         match tech {
             Technology::Wifi => {
                 serial_and_concurrent(&WifiLink::new(cfg).radios(), draws, interferer)
@@ -932,7 +987,7 @@ mod tests {
             // time.
             let mut budget = tech.los_budget();
             budget.noise_floor_dbm = -30.0;
-            let s = both_for(tech, short_cfg(budget), Draws::Packed, None);
+            let s = both_for(tech, short_cfg(budget), Draws::Packed, None).0;
             assert_eq!(
                 (s.packets_sent, s.productive_ok, s.tag_bits_sent),
                 (4, 0, 0),
@@ -943,7 +998,7 @@ mod tests {
             // RNG and backscatter channel the serial program would hold,
             // so a wrong commit moves the tag bits and the measured RSSI.
             let cfg = marginal_cfg(tech, floor);
-            let s = both_for(tech, cfg.clone(), Draws::Packed, None);
+            let s = both_for(tech, cfg.clone(), Draws::Packed, None).0;
             let every_packet = both_for(
                 tech,
                 LinkConfig {
@@ -952,7 +1007,8 @@ mod tests {
                 },
                 Draws::Packed,
                 None,
-            );
+            )
+            .0;
             assert!(
                 s.tag_bits_sent < every_packet.tag_bits_sent,
                 "{tech:?}: some reference legs must fail: {s:?}"
@@ -973,7 +1029,7 @@ mod tests {
                     packets,
                     ..short_cfg(tech.los_budget())
                 };
-                let s = both_for(tech, cfg, Draws::Packed, None);
+                let s = both_for(tech, cfg, Draws::Packed, None).0;
                 assert_eq!(s.packets_decoded, packets, "{tech:?}");
             }
 
@@ -986,7 +1042,7 @@ mod tests {
                     packets,
                     ..marginal_cfg(tech, floor)
                 };
-                both_for(tech, cfg, Draws::Packed, None).tag_bits_sent
+                both_for(tech, cfg, Draws::Packed, None).0.tag_bits_sent
             };
             let n = 6;
             assert_eq!(bits_sent(1), 0, "{tech:?}: the first leg must fail");
@@ -1001,7 +1057,7 @@ mod tests {
             let mut dark = short_cfg(tech.los_budget());
             dark.d_tx_tag_m = 1e4;
             assert!(!dark.budget.tag_operational(dark.d_tx_tag_m));
-            let s = both_for(tech, dark, Draws::Packed, None);
+            let s = both_for(tech, dark, Draws::Packed, None).0;
             assert_eq!(stat_bits(&s), stat_bits(&LinkStats::new(s.budget_rssi_dbm)));
         }
     }
@@ -1017,7 +1073,7 @@ mod tests {
                     phase_noise: 2e-4,
                     ..LinkConfig::new(tech.los_budget(), d, seed)
                 };
-                let s = both_for(tech, cfg, Draws::Packed, None);
+                let s = both_for(tech, cfg, Draws::Packed, None).0;
                 assert!(s.packets_decoded > 0, "{tech:?} seed {seed}: {s:?}");
             }
         }
@@ -1031,16 +1087,17 @@ mod tests {
         // the serial program would hold only if the leg ran on a clone.
         for (tech, floor) in TECHS.into_iter().zip(MARGINAL_FLOOR_DBM) {
             let cfg = marginal_cfg(tech, floor);
-            let interferer = || {
-                let leak = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m) - 6.0;
-                Some(Interferer::new(leak, 0.0, 0.18, 12_000, cfg.seed))
-            };
-            let s = both_for(tech, cfg.clone(), Draws::PerByte, interferer());
-            let quiet = both_for(tech, cfg.clone(), Draws::PerByte, None);
-            assert_eq!(s.tag_bits_sent, quiet.tag_bits_sent, "{tech:?}");
+            let leak = cfg.budget.rssi_dbm(cfg.d_tx_tag_m, cfg.d_tag_rx_m) - 6.0;
+            let interferer = Interferer::new(leak, 0.0, 0.18, 12_000, cfg.seed);
+            let (clean, s) = both_for(tech, cfg.clone(), Draws::PerByte, Some(interferer));
+            let s = s.expect("a run with an interferer decodes it");
+            // Carrying an interferer leaves the clean decodes alone.
+            let quiet = both_for(tech, cfg, Draws::PerByte, None);
+            assert_eq!(stat_bits(&clean), stat_bits(&quiet.0), "{tech:?}");
+            assert!(quiet.1.is_none(), "{tech:?}: a run without an interferer");
             assert_ne!(
                 (s.tag_bits_correct, s.measured_rssi_dbm.to_bits()),
-                (quiet.tag_bits_correct, quiet.measured_rssi_dbm.to_bits()),
+                (clean.tag_bits_correct, clean.measured_rssi_dbm.to_bits()),
                 "{tech:?}: the interferer must reach receiver 2"
             );
         }

@@ -118,14 +118,38 @@ EOF
 echo "==> repro --profile smoke (stage profiler: schema, counters, tree invariant)"
 ./target/release/repro --quick --profile /tmp/freerider_profile_smoke.json \
     fig10 >/dev/null 2>&1
+# Fig. 16 is the one experiment that runs all three PHYs and the
+# interferer's second receiver-2 decode.
+./target/release/repro --quick --profile /tmp/freerider_profile_fig16.json \
+    fig16 >/dev/null 2>&1
 python3 - <<'EOF'
 import json
-with open("/tmp/freerider_profile_smoke.json") as f:
-    doc = json.load(f)
-assert doc["schema"] == "freerider-profile/1", doc.get("schema")
-stages = doc["stages"]
-assert stages, "empty profile report"
-by_path = {s["path"]: s for s in stages}
+
+def load(path):
+    with open(path) as f:
+        doc = json.load(f)
+    assert doc["schema"] == "freerider-profile/1", doc.get("schema")
+    assert doc["stages"], f"empty profile report in {path}"
+    return doc["stages"], {s["path"]: s for s in doc["stages"]}
+
+def tree_invariant(by_path):
+    # Each parent's recorded time bounds the sum of its children (scope
+    # nesting guarantees this; floor-truncation only helps).
+    for path, s in by_path.items():
+        kids = [c for p, c in by_path.items()
+                if p.startswith(path + "/") and "/" not in p[len(path) + 1:]]
+        child_ns = sum(c["timing"]["total_ns"] for c in kids)
+        assert child_ns <= s["timing"]["total_ns"], \
+            f"{path}: children {child_ns}ns exceed parent {s['timing']['total_ns']}ns"
+
+fig16_stages, fig16 = load("/tmp/freerider_profile_fig16.json")
+for rx in ("wifi.rx", "zigbee.rx", "ble.rx"):
+    assert rx in fig16, f"fig16 profile lacks {rx}: {sorted(fig16)}"
+tree_invariant(fig16)
+print(f"fig16 profile OK: {len(fig16_stages)} stages, all three receivers, "
+      f"tree invariant holds")
+
+stages, by_path = load("/tmp/freerider_profile_smoke.json")
 assert "wifi.rx" in by_path, sorted(by_path)
 # Deterministic work counters must be present and nonzero somewhere.
 work_total = sum(sum(s["work"].values()) for s in stages)
@@ -135,14 +159,7 @@ assert viterbi and viterbi["work"].get("viterbi.acs_ops", 0) > 0, viterbi
 # Branch outcomes are work counters on the stage that decides them.
 detect = by_path.get("wifi.rx/detect")
 assert detect and detect["work"].get("locks", 0) > 0, detect
-# Tree invariant: each parent's recorded time bounds the sum of its
-# children (scope nesting guarantees this; floor-truncation only helps).
-for path, s in by_path.items():
-    kids = [c for p, c in by_path.items()
-            if p.startswith(path + "/") and "/" not in p[len(path) + 1:]]
-    child_ns = sum(c["timing"]["total_ns"] for c in kids)
-    assert child_ns <= s["timing"]["total_ns"], \
-        f"{path}: children {child_ns}ns exceed parent {s['timing']['total_ns']}ns"
+tree_invariant(by_path)
 # One schema for stage data: every stage span of the fig10 Chrome trace
 # (packet spans carry a `#id`) is the leaf of some profile path.
 with open("/tmp/freerider_trace_smoke.json") as f:

@@ -106,6 +106,19 @@ mod args {
             .collect()
     }
 
+    /// `d` if it is a distance a link can run at: finite and above 0 m.
+    /// The path-loss model clamps shorter distances, so anything else
+    /// would run a link at a distance other than the one printed.
+    pub fn distance(flag: &str, d: f64) -> Result<f64, String> {
+        if d.is_finite() && d > 0.0 {
+            Ok(d)
+        } else {
+            Err(format!(
+                "--{flag}: {d} is not a distance (finite metres > 0)"
+            ))
+        }
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -146,6 +159,14 @@ mod args {
             assert_eq!(parse_list("1,2.5,3").unwrap(), vec![1.0, 2.5, 3.0]);
             assert!(parse_list("1,x").is_err());
         }
+
+        #[test]
+        fn distances_are_finite_and_positive() {
+            assert_eq!(distance("distance", 0.5), Ok(0.5));
+            for d in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, 0.0, -0.0] {
+                assert!(distance("distance", d).is_err(), "{d}");
+            }
+        }
     }
 }
 
@@ -164,7 +185,7 @@ fn technology(name: &str) -> Result<(Technology, BackscatterBudget), String> {
 fn cmd_link(a: &args::Args) -> Result<(), String> {
     let tech_name = a.positional.get(1).map(String::as_str).unwrap_or("wifi");
     let (tech, budget) = technology(tech_name)?;
-    let distance = a.get("distance", 5.0)?;
+    let distance = args::distance("distance", a.get("distance", 5.0)?)?;
     let packets = a.get("packets", 10usize)?;
     let payload = a.get("payload", 500usize)?;
     let seed = a.get("seed", 1u64)?;
@@ -202,7 +223,10 @@ fn cmd_survey(a: &args::Args) -> Result<(), String> {
             .get("distances")
             .and_then(|v| v.last())
             .unwrap_or(&default),
-    )?;
+    )?
+    .into_iter()
+    .map(|d| args::distance("distances", d))
+    .collect::<Result<Vec<_>, _>>()?;
     let packets = a.get("packets", 8usize)?;
     let payload = a.get("payload", 400usize)?;
     let seed = a.get("seed", 1u64)?;

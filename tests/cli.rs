@@ -3,7 +3,8 @@
 //! exits 2 with the usage text instead of silently running with a
 //! default. The client points at `127.0.0.1:9`, where no server listens,
 //! so a flag that gets past the check shows up as a connect error.
-//! `--help` (or `-h`) anywhere prints the usage and exits 0.
+//! `--help` (or `-h`) anywhere prints the usage and exits 0. A distance
+//! that is not finite and positive exits 1 before any link runs.
 
 use std::process::{Command, Output};
 
@@ -40,6 +41,26 @@ fn freerider_rejects_unknown_flags() {
     }
     let out = run(bin, &["power"]);
     assert!(out.status.success(), "freerider power failed");
+}
+
+#[test]
+fn freerider_rejects_distances_that_are_not_finite_and_positive() {
+    let bin = env!("CARGO_BIN_EXE_freerider");
+    for bad in ["nan", "NaN", "inf", "-inf", "-3", "0"] {
+        let list = format!("2,{bad}");
+        for args in [
+            &["link", "ble", "--distance", bad, "--packets", "1"][..],
+            &["survey", "ble", "--distances", &list, "--packets", "1"],
+        ] {
+            let out = run(bin, args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains("is not a distance"), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} ran something");
+        }
+    }
+    let out = run(bin, &["link", "ble", "--distance", "0.5", "--packets", "1"]);
+    assert!(out.status.success(), "a 0.5 m link failed");
 }
 
 #[test]
